@@ -6,8 +6,10 @@ warm :class:`ConvolutionCache` hit), batched ``convolve_many`` against
 the looped kernels, the compiled kernel tier against NumPy ``direct``
 at sub-crossover sizes — scalar and batched miss path, plus the
 re-measured compiled-vs-FFT crossover (the ``kernels.compiled``
-section), stat_max and stat_max_many throughput against bin count,
-locates the measured direct-vs-FFT equal-size crossover, times a full
+section), the Theorem-4 percentile gap in NumPy against the compiled
+provider at 17/153/1025 bins (the ``kernels.gap`` section), stat_max
+and stat_max_many throughput against bin count, locates the measured
+direct-vs-FFT equal-size crossover, times a full
 ``run_ssta`` pass on c432 per backend, runs the c432 sizers end-to-end cache-on vs
 cache-off, compares level-batched against sequential propagation
 (full SSTA per backend and the pruned-sizer cache-off miss path — the
@@ -36,6 +38,9 @@ violation):
   and — when a provider resolved — the batched compiled miss path
   clears ``COMPILED_MIN_SPEEDUP`` over NumPy direct at the smallest
   swept sizes;
+* the compiled percentile gap equals the NumPy gap on every
+  (base, perturbed) pair one pruned c432 sizing iteration evaluates
+  (skipped, never failed, when no provider serves the gap);
 * cache-on vs cache-off sink percentiles are **exactly** equal per
   backend (the cache's bitwise promise, probed end to end);
 * level-batched vs sequential sink distributions are **bitwise
@@ -124,6 +129,10 @@ COMPILED_GATE_ATTEMPTS = 3
 #: compiled-vs-direct sink agreement budget (total variation) for the
 #: end-to-end drift gate.
 COMPILED_SINK_TV = 1e-12
+#: Operand supports of the ``kernels.gap`` rows: the small end, the
+#: mean support of the pruned c432 sizer's gap pairs (~153 bins), and
+#: a wide tail.
+GAP_BIN_COUNTS = (17, 153, 1025)
 
 
 def _gaussian_with_bins(n_bins: int, center: float = 1000.0):
@@ -372,6 +381,93 @@ def _bench_compiled(quick: bool) -> dict:
         + f" (compiled-auto anchor {COMPILED_EQUAL_SIZE_CROSSOVER_BINS})"
     )
     return out
+
+
+def _bench_gap() -> dict:
+    """The Theorem-4 percentile gap — the ``kernels.gap`` section: µs
+    per ``max_percentile_gap`` evaluation, the NumPy body against the
+    compiled provider's one-pass kernel, on a (base, perturbed)-shaped
+    pair (equal supports one bin apart) per ``GAP_BIN_COUNTS`` size.
+    Each call gets fresh zero-copy operand views (~1 µs, both sides),
+    so the NumPy side's memoized knot arrays do not flatter it.  Rows
+    carry no compiled column on a degraded host or when the provider's
+    gap failed its self-check."""
+    from repro.dist import _compiled
+    from repro.dist.metrics import _VERTICAL_NOISE_FLOOR, _numpy_gap
+    from repro.dist.pdf import DiscretePDF
+
+    provider = _compiled.get_provider()
+    active = provider is not None and provider.gap_ok
+    out = {"provider": _compiled.provider_kind(), "compiled_active": active}
+    rng = np.random.default_rng(2004)
+    rows = []
+    for n in GAP_BIN_COUNTS:
+        a = _rand_pdf(rng, n)
+        b = _rand_pdf(rng, n, offset=1)
+
+        def fresh():
+            view = DiscretePDF._from_view  # noqa: SLF001
+            return (view(a.dt, a.offset, a.masses),
+                    view(b.dt, b.offset, b.masses))
+
+        row = {"bins": n}
+        t = _time_op(lambda: _numpy_gap(*fresh()))
+        row["numpy_us"] = round(t * 1e6, 3)
+        if active:
+            t = _time_op(
+                lambda: provider.gap(*fresh(), _VERTICAL_NOISE_FLOOR)
+            )
+            row["compiled_us"] = round(t * 1e6, 3)
+            row["speedup"] = round(row["numpy_us"] / row["compiled_us"], 3)
+        rows.append(row)
+        comp = (
+            f"compiled={row['compiled_us']:8.2f} us ({row['speedup']:.1f}x)"
+            if active else "compiled=  inactive"
+        )
+        print(f"gap bins={n:5d}  numpy={row['numpy_us']:8.2f} us  {comp}")
+    out["rows"] = rows
+    return out
+
+
+def _gap_drift() -> dict:
+    """Gate (h): the compiled gap equals the NumPy gap (``==``; signed
+    zeros may differ) on every (base, perturbed) pair one pruned c432
+    iteration evaluates.  Skipped, never failed, when no provider
+    serves the gap."""
+    from repro.core import perturbation
+    from repro.core.pruned_sizer import PrunedStatisticalSizer
+    from repro.dist import _compiled
+    from repro.dist.metrics import _VERTICAL_NOISE_FLOOR, _numpy_gap
+    from repro.netlist.benchmarks import load
+
+    provider = _compiled.get_provider()
+    if provider is None or not provider.gap_ok:
+        reason = (
+            _compiled.fail_reason() if provider is None
+            else "gap self-check failed"
+        )
+        print(f"drift compiled gap gate skipped: {reason}")
+        return {"compiled_gap_gate": "skipped", "reason": reason}
+    pairs = []
+    original = perturbation.max_percentile_gap
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return original(a, b)
+
+    perturbation.max_percentile_gap = recording
+    try:
+        PrunedStatisticalSizer(load("c432"), max_iterations=1).run()
+    finally:
+        perturbation.max_percentile_gap = original
+    mismatches = sum(
+        not provider.gap(a, b, _VERTICAL_NOISE_FLOOR) == _numpy_gap(a, b)
+        for a, b in pairs
+    )
+    print(f"drift compiled gap c432 pruned iteration: {len(pairs)} pairs, "
+          f"{mismatches} mismatches")
+    return {"circuit": "c432", "gap_pairs": len(pairs),
+            "gap_mismatches": mismatches}
 
 
 def _sizer_case(sizer_cls, circuit_name: str, iterations: int, cache, **kw):
@@ -1387,6 +1483,12 @@ def _check_drift(bin_counts, min_hit_rate: float, compiled=None) -> list:
                     (f"compiled-speedup-{bins}bins", speedup)
                 )
 
+    gap = _gap_drift()
+    report.append(gap)
+    # No recorded pairs would make the gate vacuous: fail that too.
+    if gap.get("gap_mismatches") or gap.get("gap_pairs") == 0:
+        failures.append(("compiled-gap-c432", gap["gap_mismatches"]))
+
     # Cache-on vs cache-off: bitwise, per backend — zero drift allowed.
     for backend in available_backends():
         pair = {}
@@ -1554,7 +1656,7 @@ def run(
         "measured_crossover_bins": crossover,
         "rows": rows,
         "batched_vs_looped": batched,
-        "kernels": {"compiled": compiled},
+        "kernels": {"compiled": compiled, "gap": _bench_gap()},
         "levels": levels,
         "service": _bench_service(quick),
     }
@@ -1583,6 +1685,8 @@ def main(argv=None) -> int:
                              "1e-12 TV or a compiled batched speedup "
                              f"under {COMPILED_MIN_SPEEDUP:.0f}x at the "
                              "smallest sizes (provider permitting), "
+                             "a compiled gap unequal to the NumPy gap "
+                             "on a pruned c432 iteration's pairs, "
                              "an shm payload above 10%% of pickle's, "
                              "a quick-sizer cache hit rate below "
                              "--min-hit-rate, a superlinear scale "

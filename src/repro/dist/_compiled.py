@@ -10,9 +10,9 @@ returns ``None`` and the compiled backends degrade to the pure-NumPy
 ``direct`` numerics with a single warning, so selecting ``compiled``
 is always safe.
 
-Three kernel families are provided, all operating on packed flat
-buffers (operands concatenated, ``int64`` offset/length arrays) so a
-whole level batch costs one foreign call:
+Four kernel families are provided.  The first three operate on packed
+flat buffers (operands concatenated, ``int64`` offset/length arrays)
+so a whole level batch costs one foreign call:
 
 * **convolve** — scatter-form direct convolution, scalar and batched;
 * **trim** — the fused normalize-and-trim construction step: a mirror
@@ -28,11 +28,21 @@ whole level batch costs one foreign call:
   multiplications and subtractions in the same order, with
   ``-ffp-contract=off`` pinning the C build.  A self-check verifies it
   and disables the sweep (never the provider) on any mismatch.
+* **percentile gap** (C provider only) — the Theorem-4 bound
+  ``max_percentile_gap(a, b)`` of :mod:`repro.dist.metrics`, one pair
+  per call: both knot sets are built on the fly (sequential cumsum,
+  clip at 1, last knot pinned) and, because each operand's knot levels
+  are non-decreasing, NumPy's two ``searchsorted`` inverses and the
+  ``np.interp`` margin lookup become monotone pointers in one linear
+  pass.  Same operations in the same order as the NumPy body, so the
+  result is the same float; the metric uses it under *every* backend.
+  A self-check mismatch sets only ``gap_ok = False``.
 
 Equivalence classes: the convolve/trim family is a *tolerance* class
 like the FFT backend — within 1e-12 total variation of ``direct`` but
 not bitwise (sequential instead of pairwise reductions) — while the
-max sweep is bitwise.  Within the compiled class itself everything is
+max sweep and the percentile gap are bitwise (the gap up to the sign
+of a zero result).  Within the compiled class itself everything is
 deterministic and batch-invariant: scalar, batched, and worker-sharded
 paths run the exact same compiled code per item.
 
@@ -85,11 +95,13 @@ CACHE_DIR_ENV = "REPRO_COMPILED_CACHE"
 # results agree with the stock path to ~n ulp (well inside 1e-12 TV)
 # but are not bitwise.  The max sweep, by contrast, performs the exact
 # operation sequence of np.prod(grid, axis=0) + the spelled-out diff,
-# so it *is* bitwise (and is verified before use).
+# so it *is* bitwise (and is verified before use); so does the gap,
+# for DiscretePDF._inverse and np.interp.
 # ----------------------------------------------------------------------
 
 _C_SOURCE = r"""
 #include <math.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define EXPORT __attribute__((visibility("default")))
@@ -267,6 +279,105 @@ EXPORT long long repro_max_sweep(
     }
     return 0;
 }
+
+/* DiscretePDF._knots levels: 0, the sequential cumsum clipped at 1,
+   and the last knot pinned to exactly 1.  Knot k sits at time
+   (off - 1 + k) * dt, computed where it is read. */
+static void gap_knots(const double *m, long long n, double *f)
+{
+    long long i;
+    double acc = m[0];
+    f[0] = 0.0;
+    f[1] = acc < 1.0 ? acc : 1.0;
+    for (i = 1; i < n; ++i) {
+        acc += m[i];
+        f[i + 1] = acc < 1.0 ? acc : 1.0;
+    }
+    f[n] = 1.0;
+}
+
+/* DiscretePDF._inverse at level p: searchsorted(side="left") becomes
+   the monotone pointer *ptr (levels arrive non-decreasing), then the
+   clip onto [rf, n] and the same segment arithmetic. */
+static double gap_inverse(const double *f, long long n, long long rf,
+                          long long off, double dt, double p,
+                          long long *ptr)
+{
+    long long idx = *ptr, lo;
+    double flo, xlo;
+    while (idx <= n && f[idx] < p) ++idx;
+    *ptr = idx;
+    if (idx < rf) idx = rf;
+    if (idx > n) idx = n;
+    lo = idx - 1;
+    flo = f[lo];
+    xlo = (double)(off - 1 + lo) * dt;
+    return xlo + (p - flo) / (f[idx] - flo)
+                 * ((double)(off - 1 + idx) * dt - xlo);
+}
+
+/* np.interp(x, knots, left=0, right=1), NumPy's arithmetic and
+   branches included; the bracket *pj walks from the previous query in
+   either direction (queries are nearly, not provably, monotone). */
+static double gap_interp(const double *f, long long n, long long off,
+                         double dt, double x, long long *pj)
+{
+    long long j = *pj;
+    double xj, xj1, slope, r;
+    if (isnan(x)) return x;
+    if (x > (double)(off - 1 + n) * dt) return 1.0;
+    if (x < (double)(off - 1) * dt) return 0.0;
+    while (j > 0 && (double)(off - 1 + j) * dt > x) --j;
+    while (j < n && (double)(off + j) * dt <= x) ++j;
+    *pj = j;
+    if (j == n) return f[n];
+    xj = (double)(off - 1 + j) * dt;
+    if (xj == x) return f[j];
+    xj1 = (double)(off + j) * dt;
+    slope = (f[j + 1] - f[j]) / (xj1 - xj);
+    r = slope * (x - xj) + f[j];
+    if (isnan(r)) {
+        r = slope * (x - xj1) + f[j + 1];
+        if (isnan(r) && f[j] == f[j + 1]) r = f[j];
+    }
+    return r;
+}
+
+/* max_percentile_gap(a, b) in one linear pass per operand's level run
+   (a's knot levels, then b's).  Returns NaN when the knot buffer
+   cannot be allocated; the caller then runs the NumPy body. */
+EXPORT double repro_gap(
+    const double *ma, long long na, long long offa,
+    const double *mb, long long nb, long long offb,
+    double dt, double noise_floor)
+{
+    double *fa = (double *)malloc((size_t)(na + nb + 2) * sizeof(double));
+    double *fb, best = -INFINITY;
+    long long rfa = 0, rfb = 0, run, k;
+    if (fa == NULL) return NAN;
+    fb = fa + na + 1;
+    gap_knots(ma, na, fa);
+    gap_knots(mb, nb, fb);
+    while (!(fa[rfa] > 0.0)) ++rfa;
+    while (!(fb[rfb] > 0.0)) ++rfb;
+    for (run = 0; run < 2; ++run) {
+        const double *lv = run ? fb : fa;
+        long long nl = run ? nb : na, pa = 0, pb = 0, pj = 0;
+        for (k = 0; k <= nl; ++k) {
+            double p = lv[k];
+            double qb = gap_inverse(fb, nb, rfb, offb, dt, p, &pb);
+            double g = gap_inverse(fa, na, rfa, offa, dt, p, &pa) - qb;
+            /* np.where(margin > floor, g, np.minimum(g, 0)) */
+            if (!(p - gap_interp(fa, na, offa, dt, qb, &pj) > noise_floor)
+                && g > 0.0)
+                g = 0.0;
+            /* np.max: NaN propagates. */
+            if (g > best || isnan(g)) best = g;
+        }
+    }
+    free(fa);
+    return best;
+}
 """
 
 #: Flags pin the arithmetic: no FMA contraction, no reassociation
@@ -284,30 +395,46 @@ _C_FLAG_SETS = (
     _C_FLAGS_BASE,
 )
 
+#: The library's entry points, ``name: (return type, argument types)``
+#: in C spelling.  The cffi ``cdef`` is generated from this table and
+#: the ctypes loader types every entry from it (a ``double`` read back
+#: as ``long long`` is garbage; an untyped Python int goes out as C
+#: ``int``).
 _ENTRY_POINTS = {
-    "repro_conv_batch": 9,
-    "repro_conv_trim_batch": 13,
-    "repro_trim_batch": 8,
-    "repro_conv_trim_one": 8,
-    "repro_max_sweep": 10,
+    "repro_conv_batch": ("long long", (
+        "const double *", "const long long *", "const long long *",
+        "const double *", "const long long *", "const long long *",
+        "double *", "const long long *", "long long",
+    )),
+    "repro_conv_trim_batch": ("long long", (
+        "const double *", "const long long *", "const long long *",
+        "const double *", "const long long *", "const long long *",
+        "double *", "const long long *", "double",
+        "double *", "long long *", "long long *", "long long",
+    )),
+    "repro_trim_batch": ("long long", (
+        "const double *", "const long long *", "const long long *",
+        "double", "double *", "long long *", "long long *", "long long",
+    )),
+    "repro_conv_trim_one": ("long long", (
+        "const double *", "long long", "const double *", "long long",
+        "double *", "double", "double *", "long long *",
+    )),
+    "repro_max_sweep": ("long long", (
+        "const double *", "const long long *", "const long long *",
+        "const long long *", "const long long *", "const long long *",
+        "const long long *", "const long long *", "double *", "long long",
+    )),
+    "repro_gap": ("double", (
+        "const double *", "long long", "long long",
+        "const double *", "long long", "long long", "double", "double",
+    )),
 }
 
-_CDEF = """
-long long repro_conv_batch(const double *, const long long *, const long long *,
-    const double *, const long long *, const long long *,
-    double *, const long long *, long long);
-long long repro_conv_trim_batch(const double *, const long long *, const long long *,
-    const double *, const long long *, const long long *,
-    double *, const long long *, double,
-    double *, long long *, long long *, long long);
-long long repro_trim_batch(const double *, const long long *, const long long *,
-    double, double *, long long *, long long *, long long);
-long long repro_conv_trim_one(const double *, long long, const double *, long long,
-    double *, double, double *, long long *);
-long long repro_max_sweep(const double *, const long long *, const long long *,
-    const long long *, const long long *, const long long *,
-    const long long *, const long long *, double *, long long);
-"""
+_CDEF = "\n".join(
+    f"{ret} {name}({', '.join(args)});"
+    for name, (ret, args) in _ENTRY_POINTS.items()
+)
 
 
 def _cache_dir() -> Path:
@@ -416,6 +543,8 @@ class _CProvider:
         if self._impl is None:
             raise RuntimeError("could not load compiled library")
         self.max_ok = True
+        self.gap_ok = True
+        self._gap_entry = self._impl["lib"].repro_gap
 
     # -- loading -------------------------------------------------------
     @staticmethod
@@ -447,13 +576,20 @@ class _CProvider:
         }
 
     @staticmethod
-    def _load_ctypes(so_path: Path):  # pragma: no cover - cffi fallback
+    def _load_ctypes(so_path: Path):
         import ctypes
 
+        scalars = {"double": ctypes.c_double, "long long": ctypes.c_longlong}
+
+        def ctype(spelling: str):
+            base = scalars[spelling.replace("const ", "").rstrip(" *")]
+            return ctypes.POINTER(base) if spelling.endswith("*") else base
+
         lib = ctypes.CDLL(str(so_path))
-        for name, argc in _ENTRY_POINTS.items():
+        for name, (ret, args) in _ENTRY_POINTS.items():
             fn = getattr(lib, name)
-            fn.restype = ctypes.c_longlong
+            fn.restype = ctype(ret)
+            fn.argtypes = [ctype(arg) for arg in args]
         dptr = ctypes.POINTER(ctypes.c_double)
         iptr = ctypes.POINTER(ctypes.c_longlong)
 
@@ -464,22 +600,10 @@ class _CProvider:
             return arr.ctypes.data_as(iptr)
 
         return {"lib": lib, "dbl": dbl, "wdbl": dbl, "i64": i64,
-                "wi64": i64, "ctypes": True}
+                "wi64": i64}
 
     def _call(self, name, *args):
-        impl = self._impl
-        fn = getattr(impl["lib"], name)
-        if impl.get("ctypes"):  # pragma: no cover - cffi fallback
-            import ctypes
-
-            coerced = [
-                ctypes.c_longlong(a) if isinstance(a, int)
-                else ctypes.c_double(a) if isinstance(a, float)
-                else a
-                for a in args
-            ]
-            return int(fn(*coerced))
-        return int(fn(*args))
+        return getattr(self._impl["lib"], name)(*args)
 
     # -- convolve ------------------------------------------------------
     def conv_one(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -686,6 +810,20 @@ class _CProvider:
             for g in range(len(groups))
         ]
 
+    # -- Theorem-4 percentile gap -------------------------------------
+    def gap(self, a: DiscretePDF, b: DiscretePDF, noise_floor: float):
+        """``max_percentile_gap(a, b)`` on one grid, the NumPy value
+        bit for bit (signed zeros aside); NaN when the C side could not
+        allocate its knot buffer.  The knots live in a per-call buffer:
+        the foreign call releases the GIL and service handler threads
+        evaluate gaps concurrently."""
+        dbl = self._impl["dbl"]
+        ma, mb = a.masses, b.masses
+        return self._gap_entry(
+            dbl(ma), ma.size, a.offset, dbl(mb), mb.size, b.offset,
+            a.dt, noise_floor,
+        )
+
 
 class _NumbaProvider:
     """numba ``@njit(cache=True)`` provider — same packed layout and
@@ -699,6 +837,8 @@ class _NumbaProvider:
 
         self._nb = nb
         self.max_ok = True
+        # No numba gap kernel: max_percentile_gap keeps its NumPy body.
+        self.gap_ok = False
         # Trigger JIT compilation now (pool warm-up calls land here);
         # numba's on-disk cache makes repeats cheap.
         a = np.asarray([0.25, 0.5, 0.25])
@@ -772,9 +912,10 @@ class _NumbaProvider:
 # ----------------------------------------------------------------------
 # Self-check: every provider proves its contract before first use.
 # Convolve/trim differentials run against the stock NumPy path at the
-# 1e-12-TV class boundary; the max sweep must be bitwise.  Conv/trim
-# failure rejects the provider outright; a max-sweep mismatch only
-# disables the sweep (the provider stays useful for ADD).
+# 1e-12-TV class boundary; the max sweep and the gap must be bitwise.
+# Conv/trim failure rejects the provider outright; a max-sweep or gap
+# mismatch only disables that kernel (the provider stays useful for
+# the rest).
 # ----------------------------------------------------------------------
 
 
@@ -855,6 +996,47 @@ def _self_check(provider) -> None:
                 raise RuntimeError("not bitwise")
     except Exception:
         provider.max_ok = False
+    # Theorem-4 gap: the NumPy body's value (==) or disabled.
+    if provider.gap_ok:
+        from .metrics import _VERTICAL_NOISE_FLOOR, _numpy_gap
+
+        try:
+            for a, b in _gap_check_cases(rng):
+                got = provider.gap(a, b, _VERTICAL_NOISE_FLOOR)
+                if not got == _numpy_gap(a, b):
+                    raise RuntimeError("not bitwise")
+        except Exception:
+            provider.gap_ok = False
+
+
+def _gap_check_cases(rng) -> list:
+    """Operand pairs for the gap self-check: generic overlaps, zero-mass
+    plateaus and a leading zero ramp, point masses, disjoint supports
+    both ways, identical and shifted twins, a near-copy whose margins
+    sit at the noise floor."""
+    def pdf(offset, m):
+        return DiscretePDF(2.0, offset, m)
+
+    a = rng.random(33) + 1e-4
+    b = rng.random(17) + 1e-4
+    plateau = a.copy()
+    plateau[:3] = 0.0
+    plateau[10:14] = 0.0
+    nudged = a / a.sum()
+    nudged[5] += 1e-11
+    nudged[6] -= 1e-11
+    return [
+        (pdf(0, a), pdf(4, b)),
+        (pdf(4, b), pdf(0, a)),
+        (pdf(0, plateau), pdf(1, a)),
+        (pdf(1, a), pdf(0, plateau)),
+        (pdf(3, [1.0]), pdf(1, [1.0])),
+        (pdf(0, a), pdf(90, b)),
+        (pdf(90, b), pdf(0, a)),
+        (pdf(0, a), pdf(0, a)),
+        (pdf(0, a), pdf(2, a)),
+        (pdf(0, a), pdf(0, nudged)),
+    ]
 
 
 _lock = threading.Lock()

@@ -14,6 +14,19 @@ Both evaluate the *same* piecewise-linear CDF interpolant the
 only at knots — the difference of two piecewise-linear functions
 attains its extrema at knots of either operand, so the computed values
 are exact, not sampled approximations.
+
+Where the gap runs: whenever the compiled provider
+(:mod:`repro.dist._compiled`) has resolved and its gap kernel passed
+the self-check, :func:`max_percentile_gap` calls that one-pass C
+kernel — under every analysis backend, the default ``auto`` included,
+and resolving the provider lazily on the first gap.  Otherwise (kill
+switch ``REPRO_DISABLE_COMPILED``, no C compiler, the numba provider,
+a failed gap self-check) it runs the NumPy body, which is also the
+reference.  The contract is exact: the compiled result is the same
+float as the NumPy body's (``==``), with the same ``float.hex`` unless
+it is a zero — ``np.max`` chooses between +0 and -0 by order.  The
+pruning order, the gap memo and the sizer goldens therefore do not
+depend on which side ran.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GridMismatchError
+from . import _compiled
 from .pdf import DiscretePDF
 
 __all__ = ["max_percentile_gap", "stochastically_le"]
@@ -59,6 +73,18 @@ def max_percentile_gap(a: DiscretePDF, b: DiscretePDF) -> float:
     be suppressed.
     """
     _check_grids(a, b)
+    provider = _compiled.get_provider()
+    if provider is not None and provider.gap_ok:
+        gap = provider.gap(a, b, _VERTICAL_NOISE_FLOOR)
+        if gap == gap:  # NaN: the compiled side could not allocate
+            return gap
+    return _numpy_gap(a, b)
+
+
+def _numpy_gap(a: DiscretePDF, b: DiscretePDF) -> float:
+    """The NumPy body of :func:`max_percentile_gap` (grids already
+    checked): the reference the compiled gap is held to, and the
+    fallback whenever no provider serves it."""
     xa, fa = a._knots  # noqa: SLF001 - intra-package fast path
     xb, fb = b._knots  # noqa: SLF001
     levels = np.concatenate([fa, fb])

@@ -9,6 +9,9 @@ check:
 * the compiled tier's *own* equivalence classes — raw convolutions
   within 1e-12 TV of ``direct``, MAX sweeps bitwise, scalar == batched
   bitwise, cache replays bitwise with fresh computes;
+* the Theorem-4 percentile gap, which runs compiled under every
+  backend: ``==`` the NumPy body on Hypothesis and hand-picked pairs,
+  its own fallback matrix, thread safety, and the ctypes loader;
 * the degradation matrix — ``REPRO_DISABLE_COMPILED``, numba-absent
   with no C compiler — under which the compiled backends must *be*
   the pure-NumPy direct kernels, bit for bit, with exactly one
@@ -32,13 +35,18 @@ import pytest
 from hypothesis import given, settings
 
 from repro.config import AnalysisConfig
-from repro.dist import _compiled
+from repro.dist import _compiled, metrics
 from repro.dist.backends import (
     CompiledAutoBackend,
     get_backend,
     is_registry_backend,
 )
 from repro.dist.cache import ConvolutionCache
+from repro.dist.metrics import (
+    _VERTICAL_NOISE_FLOOR,
+    _numpy_gap,
+    max_percentile_gap,
+)
 from repro.dist.ops import (
     OpCounter,
     _max_masses,
@@ -64,6 +72,10 @@ needs_provider = pytest.mark.skipif(
 needs_max_sweep = pytest.mark.skipif(
     PROVIDER is None or not PROVIDER.max_ok,
     reason="compiled MAX sweep unavailable",
+)
+needs_gap = pytest.mark.skipif(
+    PROVIDER is None or not PROVIDER.gap_ok,
+    reason="compiled percentile gap unavailable",
 )
 
 
@@ -533,3 +545,264 @@ class TestCompiledInWorkers:
                 assert np.array_equal(p.masses, d.masses)
         finally:
             ex.close()
+
+
+def _same_gap(got: float, ref: float) -> bool:
+    """The gap contract: the same float, and the same bits unless the
+    value is a zero (``np.max`` picks between +0 and -0 by order)."""
+    return got == ref and (ref == 0.0 or got.hex() == ref.hex())
+
+
+def _overshooting_masses() -> np.ndarray:
+    """Normalized masses whose sequential cumsum passes 1.0 before the
+    last bin (the clip the knot builder must mirror): a sub-ulp tail,
+    as trimming leaves, behind a body whose rounding overshoots."""
+    rng = np.random.default_rng(5)
+    for _ in range(10_000):
+        raw = np.concatenate([rng.random(38), [1e-17, 1e-17]])
+        m = DiscretePDF(2.0, 0, raw).masses
+        if float(np.cumsum(m)[:-1].max()) > 1.0:
+            return m
+    raise AssertionError("no overshooting cumsum found")
+
+
+def _gap_cases() -> list:
+    rng = np.random.default_rng(83)
+    a = rng.random(41) + 1e-4
+    b = rng.random(23) + 1e-4
+    plateau = a.copy()
+    plateau[12:19] = 0.0
+    plateau[30:31] = 0.0
+    ramp = a.copy()
+    ramp[:6] = 0.0
+    norm = DiscretePDF(2.0, 0, a).masses
+    over = _overshooting_masses()
+    cases = {
+        "interior-plateaus": (plateau, 0, a, 1),
+        "interior-plateaus-rev": (a, 1, plateau, 0),
+        "leading-zero-ramp": (ramp, 0, a, 0),
+        "leading-zero-ramp-rev": (a, 2, ramp, 0),
+        "both-zero-ramps": (ramp, 0, plateau[::-1].copy(), 3),
+        "point-masses": ([1.0], 7, [1.0], 4),
+        "point-masses-rev": ([1.0], 4, [1.0], 7),
+        "point-vs-spread": ([1.0], 20, a, 0),
+        "spread-vs-point": (a, 0, [1.0], 20),
+        "disjoint-a-first": (a, 0, b, 200),
+        "disjoint-b-first": (a, 200, b, 0),
+        "identical": (a, 3, a, 3),
+        "shifted-twin-later": (a, 0, a, 5),
+        "shifted-twin-earlier": (a, 5, a, 0),
+        "overshoot": (over, 0, b, 10),
+        "overshoot-twin": (over, 0, over, 1),
+    }
+    # Near-copies whose margins straddle the 1e-11 vertical floor.
+    for eps in (0.5e-11, 1e-11, 1.0000001e-11, 2e-11, 1e-9):
+        nudged = norm.copy()
+        nudged[10] += eps
+        nudged[11] -= eps
+        cases[f"floor-{eps:g}"] = (norm, 0, nudged, 0)
+        cases[f"floor-{eps:g}-rev"] = (nudged, 0, norm, 0)
+    return [
+        pytest.param(
+            DiscretePDF(2.0, oa, np.asarray(ma, dtype=float)),
+            DiscretePDF(2.0, ob, np.asarray(mb, dtype=float)),
+            id=name,
+        )
+        for name, (ma, oa, mb, ob) in cases.items()
+    ]
+
+
+@st.composite
+def gap_pairs(draw):
+    """(base, perturbed)-like pairs: independent draws near each other,
+    identical or shifted twins, and one-bin mass transfers."""
+    a = draw(pdfs(max_bins=48, max_offset=12))
+    kind = draw(st.sampled_from(["independent", "twin", "transfer"]))
+    if kind == "independent":
+        return a, draw(pdfs(max_bins=48, max_offset=12))
+    if kind == "twin":
+        return a, DiscretePDF(a.dt, a.offset + draw(st.integers(-3, 3)),
+                              a.masses)
+    m = a.masses.copy()
+    i = draw(st.integers(0, m.size - 1))
+    j = draw(st.integers(0, m.size - 1))
+    moved = m[i] * draw(st.floats(0.0, 1.0))
+    m[i] -= moved
+    m[j] += moved
+    return a, DiscretePDF(a.dt, a.offset, m)
+
+
+class TestCompiledGap:
+    """The Theorem-4 gap in the C provider: the NumPy body's value on
+    every backend, with the NumPy body as the fallback."""
+
+    @needs_provider
+    def test_provider_gap_is_active(self):
+        assert PROVIDER.kind != "cext" or PROVIDER.gap_ok
+
+    @needs_gap
+    @settings(deadline=None, max_examples=300)
+    @given(gap_pairs())
+    def test_matches_numpy_gap(self, pair):
+        a, b = pair
+        ref = _numpy_gap(a, b)
+        assert _same_gap(PROVIDER.gap(a, b, _VERTICAL_NOISE_FLOOR), ref)
+        assert _same_gap(max_percentile_gap(a, b), ref)
+        assert _same_gap(max_percentile_gap(b, a), _numpy_gap(b, a))
+
+    @needs_gap
+    @pytest.mark.parametrize("a, b", _gap_cases())
+    def test_hand_picked_cases(self, a, b):
+        ref = _numpy_gap(a, b)
+        assert _same_gap(PROVIDER.gap(a, b, _VERTICAL_NOISE_FLOOR), ref)
+
+    def test_overshoot_case_overshoots(self):
+        """The hand-picked overshoot case really exercises the clip."""
+        over = _overshooting_masses()
+        assert float(np.cumsum(over)[:-1].max()) > 1.0
+
+    def test_kill_switch_runs_numpy_body(
+        self, monkeypatch, fresh_provider_state
+    ):
+        monkeypatch.setenv(_compiled.DISABLE_ENV, "1")
+        _compiled.reset_provider_cache()
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return _numpy_gap(a, b)
+
+        monkeypatch.setattr(metrics, "_numpy_gap", counted)
+        rng = np.random.default_rng(97)
+        a, b = _rand_pdf(rng, 12), _rand_pdf(rng, 15, offset=1)
+        assert _same_gap(max_percentile_gap(a, b), _numpy_gap(a, b))
+        assert calls == [(a, b)]
+
+    def test_numba_provider_leaves_gap_inactive(
+        self, monkeypatch, fresh_provider_state
+    ):
+        """A stand-in ``numba`` whose ``njit`` is the identity runs the
+        numba provider's kernels as plain Python; it resolves, passes
+        its self-check, and the gap keeps the NumPy body."""
+        import types
+
+        import repro.dist as dist_pkg
+
+        fake = types.ModuleType("numba")
+        fake.njit = lambda *args, **kwargs: (lambda fn: fn)
+        monkeypatch.delenv(_compiled.DISABLE_ENV, raising=False)
+        monkeypatch.setitem(sys.modules, "numba", fake)
+        # Import the kernels afresh against the stand-in, and forget
+        # that import afterwards.
+        monkeypatch.setitem(sys.modules, "repro.dist._compiled_numba", None)
+        del sys.modules["repro.dist._compiled_numba"]
+        monkeypatch.setattr(dist_pkg, "_compiled_numba", None, raising=False)
+        monkeypatch.delattr(dist_pkg, "_compiled_numba")
+        _compiled.reset_provider_cache()
+        provider = _compiled.get_provider()
+        assert provider is not None and provider.kind == "numba"
+        assert provider.max_ok and not provider.gap_ok
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return _numpy_gap(a, b)
+
+        monkeypatch.setattr(metrics, "_numpy_gap", counted)
+        rng = np.random.default_rng(101)
+        a, b = _rand_pdf(rng, 9), _rand_pdf(rng, 13, offset=-1)
+        assert _same_gap(max_percentile_gap(a, b), _numpy_gap(a, b))
+        assert len(calls) == 1
+
+    @needs_provider
+    def test_gap_self_check_failure_keeps_add_and_max(
+        self, monkeypatch, fresh_provider_state
+    ):
+        """A gap off by one ulp disables only the gap: ADD and MAX keep
+        the compiled kernels, the gap runs the NumPy body."""
+        if PROVIDER.kind != "cext":
+            pytest.skip("the gap kernel lives in the C provider")
+        broken = _compiled._CProvider()
+        exact = broken.gap
+        monkeypatch.setattr(
+            broken, "gap",
+            lambda a, b, floor: np.nextafter(exact(a, b, floor), np.inf),
+        )
+        monkeypatch.delenv(_compiled.DISABLE_ENV, raising=False)
+        monkeypatch.setitem(sys.modules, "numba", None)
+        monkeypatch.setattr(_compiled, "_CProvider", lambda: broken)
+        _compiled.reset_provider_cache()
+        assert _compiled.get_provider() is broken
+        assert broken.max_ok and not broken.gap_ok
+        kernel = get_backend("compiled")
+        assert kernel.fused_trim_active and kernel.max_sweep_active
+        rng = np.random.default_rng(103)
+        a, b = _rand_pdf(rng, 19), _rand_pdf(rng, 27, offset=2)
+        assert _same_gap(max_percentile_gap(a, b), _numpy_gap(a, b))
+        c = convolve(a, b, trim_eps=1e-9, backend="compiled")
+        ref_raw, ref = PROVIDER.conv_trim_one(
+            a.masses, b.masses, a.dt, a.offset + b.offset, 1e-9
+        )
+        assert c.offset == ref.offset
+        assert np.array_equal(c.masses, ref.masses)
+        m = stat_max_many((a, b), trim_eps=1e-9, backend="compiled")
+        d = stat_max_many((a, b), trim_eps=1e-9, backend="direct")
+        assert m.offset == d.offset
+        assert np.array_equal(m.masses, d.masses)
+
+    @needs_gap
+    def test_threads_match_serial(self):
+        """Per-call knot buffers: concurrent gaps (the foreign call
+        drops the GIL) give the serial answers."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(107)
+        pairs = []
+        for _ in range(64):
+            n = int(rng.integers(1, 300))
+            a = _rand_pdf(rng, n, offset=int(rng.integers(-5, 5)))
+            m = a.masses.copy()
+            m[int(rng.integers(0, n))] += float(rng.random())
+            pairs.append((a, DiscretePDF(a.dt, a.offset - 1, m)))
+        serial = [max_percentile_gap(a, b).hex() for a, b in pairs]
+        work = pairs * 8
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(
+                pool.map(lambda p: max_percentile_gap(*p).hex(), work)
+            )
+        assert threaded == serial * 8
+
+
+class TestCtypesLoader:
+    """The C provider without cffi: ctypes entry points typed from the
+    ``_ENTRY_POINTS`` table (a ``double`` return must not be read as
+    ``long long``)."""
+
+    def test_ctypes_provider_self_checks_and_gaps(
+        self, monkeypatch, fresh_provider_state
+    ):
+        monkeypatch.delenv(_compiled.DISABLE_ENV, raising=False)
+        monkeypatch.setitem(sys.modules, "numba", None)
+        monkeypatch.setitem(sys.modules, "cffi", None)
+        _compiled.reset_provider_cache()
+        provider = _compiled.get_provider()
+        if provider is None:
+            pytest.skip(f"no C provider here ({_compiled.fail_reason()})")
+        assert provider.kind == "cext"
+        import ctypes
+
+        assert isinstance(provider._impl["lib"], ctypes.CDLL)  # noqa: SLF001
+        assert provider.max_ok and provider.gap_ok
+        for param in _gap_cases():
+            a, b = param.values
+            assert _same_gap(max_percentile_gap(a, b), _numpy_gap(a, b))
+        rng = np.random.default_rng(109)
+        a, b = _rand_pdf(rng, 21), _rand_pdf(rng, 8, offset=3)
+        raw, res = provider.conv_trim_one(a.masses, b.masses, 2.0, 3, 1e-9)
+        if PROVIDER is not None and PROVIDER.kind == "cext":
+            ref_raw, ref = PROVIDER.conv_trim_one(
+                a.masses, b.masses, 2.0, 3, 1e-9
+            )
+            assert np.array_equal(raw, ref_raw)
+            assert res.offset == ref.offset
+            assert np.array_equal(res.masses, ref.masses)
