@@ -52,10 +52,9 @@ The convolution *implementation* is pluggable on top of this contract:
 ``direct`` (O(n*m) reference), ``fft`` (O(N log N) real-FFT product),
 and ``auto`` (calibrated size crossover) implementations, selected per
 analysis through :class:`repro.config.AnalysisConfig` and per call
-through every kernel's ``backend`` argument.  Further backends (sparse
-grids, batched arrays) slot in the same way by honoring the contract:
-identical-``dt`` closure, mass-1 normalization, and the
-piecewise-linear query semantics.
+through every kernel's ``backend`` argument.  Further backends slot
+in the same way by honoring the contract: identical-``dt`` closure,
+mass-1 normalization, and the piecewise-linear query semantics.
 """
 
 from .backends import (
@@ -78,13 +77,9 @@ from .ops import (
     stat_max_many,
 )
 from .pdf import DiscretePDF
-from .sparse import SparseDiscretePDF, as_dense, sparsify
 
 __all__ = [
     "DiscretePDF",
-    "SparseDiscretePDF",
-    "sparsify",
-    "as_dense",
     "OpCounter",
     "ConvolutionBackend",
     "ConvolutionCache",

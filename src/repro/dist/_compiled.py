@@ -43,8 +43,8 @@ like the FFT backend — within 1e-12 total variation of ``direct`` but
 not bitwise (sequential instead of pairwise reductions) — while the
 max sweep and the percentile gap are bitwise (the gap up to the sign
 of a zero result).  Within the compiled class itself everything is
-deterministic and batch-invariant: scalar, batched, and worker-sharded
-paths run the exact same compiled code per item.
+deterministic and batch-invariant: scalar and batched paths run the
+exact same compiled code per item.
 
 ``REPRO_DISABLE_COMPILED=1`` disables provider resolution entirely
 (the kill switch); ``REPRO_COMPILED_CACHE`` overrides where the C

@@ -440,7 +440,7 @@ class CompiledBackend:
     ``convolve_many_trimmed`` collapse the convolve → normalize → trim
     construction into one compiled call (the cache-miss fast path),
     ``trim_raws`` / ``rebuild_trimmed`` apply the same compiled
-    construction to raws computed elsewhere (executor shards, cache
+    construction to raws computed elsewhere (the executor's batch, cache
     replays — keeping every path inside one arithmetic class), and
     ``grouped_max_raws`` runs the bitwise-verified grouped-MAX sweep.
     All hooks are gated by the ``fused_trim_active`` /

@@ -1,103 +1,16 @@
-"""Execution plans for the timing engines: serial or sharded-parallel.
+"""The execution seam the level-batched timing engines run through.
 
-The level-batched scheduler of PR 4 turned SSTA propagation into a
-sequence of *batches* — all of a topological level's fan-in ADD pairs,
-then all of its MAX reductions — where every item in a batch is
-independent of every other.  This package makes the execution of those
-batches a pluggable **execution plan**:
-
-* :class:`SerialExecutor` runs each batch in-process — today's
-  behavior, and the differential reference;
-* :class:`ProcessExecutor` shards each batch by contiguous item range
-  across a persistent pool of worker processes (``spawn`` context, so
-  workers are initialized once — importing the library and warming the
-  kernel registry — and never inherit ambient state).
-
-The split of responsibilities is what makes parallel execution exactly
-equivalent to serial, not just statistically close:
-
-* **planning stays in the coordinator.**  Cache probes, intra-batch
-  dedupe, node-memo resolution, result construction, counter hit
-  tallies, and cache stores all run in the calling process (see
-  ``repro.dist.ops.convolve_many`` / ``stat_max_groups``), so the
-  cache request stream — and hence :class:`~repro.dist.cache.CacheStats`
-  — is *identical* to the serial run by construction;
-* **workers compute raw kernel outputs only.**  A shard is a pure
-  function of its operand payloads
-  (:func:`~repro.dist.ops.convolve_batch_raws` /
-  :func:`~repro.dist.ops.max_batch_raws`), and the PR-2/PR-4 verified
-  contracts — batched == looped, bitwise, per transform size and per
-  fan-in count — guarantee any contiguous sharding of a batch
-  reproduces the unsharded batch bit for bit;
-* **merge is deterministic.**  Shard outputs are reassembled in item
-  order, and per-shard :class:`~repro.dist.ops.OpCounter` deltas are
-  summed — integer addition, so merge order cannot matter (pinned by
-  the counter-merge property suite).
-
-Engines resolve their plan from ``AnalysisConfig(jobs=N)`` via
-:func:`get_executor`; the CLI exposes it as ``--jobs``.
+The level-batched scheduler turns SSTA propagation into a sequence of
+*batches* — all of a topological level's fan-in ADD pairs, then all of
+its MAX reductions.  The kernel layer (``repro.dist.ops``) owns cache
+resolution, dedupe, result construction and stores; the raw compute
+step of each batch goes through :class:`SerialExecutor`, which runs it
+in-process through exactly the helpers the inline path uses.  The
+engines pass :data:`SERIAL_EXECUTOR`; keeping the compute step behind
+one named method per batch shape gives profilers and tracers a single
+place to attribute kernel time.
 """
 
-from .executor import (
-    Executor,
-    SerialExecutor,
-    SERIAL_EXECUTOR,
-    get_executor,
-    shutdown_executors,
-)
-from .plan import (
-    ConvolveBatch,
-    ConvolveBatchRefs,
-    MaxBatch,
-    MaxBatchRefs,
-    shard_ranges,
-)
+from .executor import SERIAL_EXECUTOR, SerialExecutor
 
-#: Names the arena module provides; re-exported lazily alongside
-#: ProcessExecutor so serial runs never import shared_memory.
-_ARENA_EXPORTS = (
-    "OperandArena",
-    "ArenaClient",
-    "arena_client",
-    "shm_available",
-    "live_arena_stats",
-    "unlink_all_arenas",
-)
-
-
-def __getattr__(name: str):
-    # ProcessExecutor and the arena names re-export lazily (PEP 562):
-    # the pool/arena modules drag in multiprocessing/concurrent.futures
-    # /shared_memory, which serial runs — and every spawn worker's own
-    # library import — should not pay for.  ``get_executor(jobs > 1)``
-    # imports them on first need.
-    if name == "ProcessExecutor":
-        from .pool import ProcessExecutor
-
-        return ProcessExecutor
-    if name in _ARENA_EXPORTS:
-        from . import arena
-
-        return getattr(arena, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "SERIAL_EXECUTOR",
-    "ProcessExecutor",
-    "OperandArena",
-    "ArenaClient",
-    "arena_client",
-    "shm_available",
-    "live_arena_stats",
-    "unlink_all_arenas",
-    "ConvolveBatch",
-    "ConvolveBatchRefs",
-    "MaxBatch",
-    "MaxBatchRefs",
-    "shard_ranges",
-    "get_executor",
-    "shutdown_executors",
-]
+__all__ = ["SerialExecutor", "SERIAL_EXECUTOR"]

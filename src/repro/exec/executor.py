@@ -1,61 +1,36 @@
-"""The Executor interface, the serial reference plan, and resolution.
+"""The serial execution plan the timing engines dispatch batches to.
 
-An :class:`Executor` runs the raw compute step of one kernel batch —
+:class:`SerialExecutor` runs the raw compute step of one kernel batch —
 nothing more.  The calling kernel layer (``repro.dist.ops``) owns
-cache resolution, dedupe, result construction, and stores, so every
-executor sees only pure, independent work items and the equivalence
-obligation is sharp: *same outputs, bit for bit, and computed-op
-tallies that sum to the inline tally*.
-
-:class:`SerialExecutor` is the reference implementation (and what
-``jobs=1`` resolves to): it executes the batch in-process through
-exactly the helpers the inline path uses, so passing it anywhere an
-executor is accepted changes nothing but the call stack.  The process
-plan lives in :mod:`repro.exec.pool`.
-
-:func:`get_executor` resolves ``AnalysisConfig.jobs`` to a shared
-executor instance — process pools are expensive to build, so one pool
-per jobs count persists for the life of the process (workers are
-stateless between shards; sharing a pool across analyses is safe) and
-:func:`shutdown_executors` tears them down (registered ``atexit``).
+cache resolution, dedupe, result construction, and stores, so the
+executor sees only pure, independent work items.  It executes each
+batch through exactly the helpers the inline path uses, so passing it
+anywhere an executor is accepted changes nothing but the call stack.
 """
 
 from __future__ import annotations
 
-import atexit
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dist.ops import OpCounter, convolve_batch_raws, max_batch_raws
 
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "SERIAL_EXECUTOR",
-    "get_executor",
-    "shutdown_executors",
-]
+__all__ = ["SerialExecutor", "SERIAL_EXECUTOR"]
 
 
-class Executor:
-    """Execution plan for independent kernel-batch work.
-
-    Subclasses implement the two raw batch shapes of the SSTA inner
-    loop.  Contracts shared by every implementation:
+class SerialExecutor:
+    """In-process execution of the two raw batch shapes of the SSTA
+    inner loop.
 
     * outputs are returned **in item order** and are bitwise identical
       to :func:`~repro.dist.ops.convolve_batch_raws` /
       :func:`~repro.dist.ops.max_batch_raws` on the same batch;
     * ``counter`` (when given) receives exactly the computed-op tally
       the inline path would record — one convolution per pair,
-      ``len(group) - 1`` max ops per group — via commutative
-      :meth:`~repro.dist.ops.OpCounter.merge` of per-shard deltas;
+      ``len(group) - 1`` max ops per group;
     * an empty batch performs no work and touches nothing.
     """
-
-    #: Worker-process count of the plan (1 for in-process execution).
-    jobs: int = 1
 
     def run_convolve_batch(
         self,
@@ -65,7 +40,10 @@ class Executor:
         counter: Optional[OpCounter] = None,
     ) -> list:
         """Raw convolved mass vectors, one per operand pair."""
-        raise NotImplementedError
+        raws = convolve_batch_raws(kernel, pairs)
+        if counter is not None:
+            counter.merge(OpCounter(convolutions=len(raws)))
+        return raws
 
     def run_max_batch(
         self,
@@ -79,28 +57,7 @@ class Executor:
         ``kernel`` (a resolved backend, optional) is forwarded to
         :func:`~repro.dist.ops.max_batch_raws` so a backend with a
         verified-bitwise compiled MAX sweep can run the product; the
-        numerics are backend-invariant, so plans are free to drop it
-        (e.g. for non-registry instances that cannot cross a process
-        boundary) without changing a single bit."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any held resources (idempotent)."""
-
-
-class SerialExecutor(Executor):
-    """In-process execution — the ``jobs=1`` plan and the differential
-    reference every parallel plan is tested against."""
-
-    jobs = 1
-
-    def run_convolve_batch(self, kernel, pairs, *, counter=None):
-        raws = convolve_batch_raws(kernel, pairs)
-        if counter is not None:
-            counter.merge(OpCounter(convolutions=len(raws)))
-        return raws
-
-    def run_max_batch(self, groups, *, counter=None, kernel=None):
+        numerics are backend-invariant either way."""
         outs = max_batch_raws(groups, kernel=kernel)
         if counter is not None:
             counter.merge(
@@ -114,51 +71,3 @@ class SerialExecutor(Executor):
 
 #: Shared serial plan — stateless, so one instance serves everyone.
 SERIAL_EXECUTOR = SerialExecutor()
-
-#: Live pooled executors keyed by ``(jobs, transport)`` — each key
-#: owns one persistent worker pool (and, for the shm transport, one
-#: operand arena).  ``jobs=1`` resolves to the serial singleton
-#: without touching the registry.
-_EXECUTORS: Dict[tuple, Executor] = {}
-
-
-def get_executor(jobs: int, transport: str = "shm") -> Executor:
-    """Resolve ``(jobs, transport)`` to the shared executor running
-    that plan.
-
-    ``jobs=1`` returns the serial singleton (the transport is inert —
-    there is no process boundary to move operands across); ``jobs=N``
-    returns the process executor owning the persistent N-worker pool
-    for that transport, creating it on first request (the pool itself
-    spawns lazily on first dispatch).
-    """
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
-    if jobs == 1:
-        return SERIAL_EXECUTOR
-    key = (jobs, transport)
-    executor = _EXECUTORS.get(key)
-    if executor is None:
-        from .pool import ProcessExecutor
-
-        executor = ProcessExecutor(jobs, transport=transport)
-        _EXECUTORS[key] = executor
-    return executor
-
-
-def shutdown_executors() -> None:
-    """Close every pooled executor's worker pool and unlink its
-    operand arena.  The executor instances stay registered — engines
-    resolve and hold executors by reference (a
-    :class:`~repro.core.perturbation.PerturbationFront` keeps its plan
-    from construction), so dropping them here would let a stale
-    reference respawn an *untracked* pool beside a fresh registry one.
-    Keeping the instances makes ``get_executor`` a stable singleton
-    per ``(jobs, transport)``: a post-shutdown dispatch respawns the
-    one tracked pool, which the next shutdown reaches again.  Safe to
-    call repeatedly."""
-    for executor in _EXECUTORS.values():
-        executor.close()
-
-
-atexit.register(shutdown_executors)

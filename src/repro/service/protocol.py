@@ -100,7 +100,7 @@ def pdf_to_wire(pdf: DiscretePDF) -> dict:
 def pdf_from_wire(payload: dict) -> DiscretePDF:
     """Decode :func:`pdf_to_wire` output bitwise.
 
-    Reconstruction rides ``DiscretePDF.__setstate__`` — the pickle/IPC
+    Reconstruction rides ``DiscretePDF.__setstate__`` — the pickle
     path that ships the triple verbatim — so no normalization
     arithmetic can shift a bit between encode and decode.
     """

@@ -15,9 +15,7 @@ check:
 * the degradation matrix — ``REPRO_DISABLE_COMPILED``, numba-absent
   with no C compiler — under which the compiled backends must *be*
   the pure-NumPy direct kernels, bit for bit, with exactly one
-  warning;
-* the process-boundary paths: compiled kernels resolved by name inside
-  spawned workers on both transports, matching ``direct``.
+  warning.
 
 Every test here passes whether or not a provider resolves on this
 host: provider-specific classes skip when the tier is degraded, and
@@ -489,62 +487,6 @@ class TestRegistryCompat:
         via_ca = convolve(a, b, backend="compiled-auto")
         via_fft = convolve(a, b, backend="fft")
         assert _tv(via_ca, via_fft) < TV_TOL
-
-
-@needs_provider
-class TestCompiledInWorkers:
-    """Compiled kernels resolved by name inside spawned workers, both
-    transports, matching direct (satellite 3's process-boundary leg).
-
-    One module-scoped executor per transport would leak pools across
-    unrelated modules; these build and close their own tiny pools.
-    """
-
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_parallel_compiled_matches_direct(self, transport):
-        from repro.exec.pool import ProcessExecutor
-
-        ex = ProcessExecutor(
-            2, min_items_per_shard=1, transport=transport,
-            min_dispatch_cost_us=0.0,
-        )
-        try:
-            rng = np.random.default_rng(71)
-            pairs = [
-                (_rand_pdf(rng, int(rng.integers(2, 40))),
-                 _rand_pdf(rng, int(rng.integers(2, 40)), offset=2))
-                for _ in range(8)
-            ]
-            groups = [
-                (_rand_pdf(rng, 9, offset=-1), _rand_pdf(rng, 14)),
-                (_rand_pdf(rng, 21), _rand_pdf(rng, 6, offset=4)),
-            ]
-            par = convolve_many(
-                pairs, trim_eps=1e-9, backend="compiled", executor=ex
-            )
-            inline = convolve_many(
-                pairs, trim_eps=1e-9, backend="compiled"
-            )
-            direct = convolve_many(
-                pairs, trim_eps=1e-9, backend="direct"
-            )
-            for p, i, d in zip(par, inline, direct):
-                # Worker raws + coordinator trim == inline fused path,
-                # bitwise; both sit within the class budget of direct.
-                assert p.offset == i.offset
-                assert np.array_equal(p.masses, i.masses)
-                assert _tv(p, d) < 1e-9 + TV_TOL
-            par_max = stat_max_groups(
-                groups, trim_eps=1e-9, backend="compiled", executor=ex
-            )
-            direct_max = stat_max_groups(
-                groups, trim_eps=1e-9, backend="direct"
-            )
-            for p, d in zip(par_max, direct_max):
-                assert p.offset == d.offset
-                assert np.array_equal(p.masses, d.masses)
-        finally:
-            ex.close()
 
 
 def _same_gap(got: float, ref: float) -> bool:

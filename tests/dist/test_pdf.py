@@ -220,3 +220,27 @@ class TestAllclose:
         a = DiscretePDF(1.0, 0, [1.0])
         b = DiscretePDF(2.0, 0, [1.0])
         assert not a.allclose(b, atol=1.0)
+
+
+class TestPickle:
+    def test_pdf_pickle_is_memo_stripped_and_bitwise(self):
+        """Cache snapshots pickle results through ``__getstate__``:
+        only the defining triple ships, and memos rebuild bitwise."""
+        import pickle
+
+        from repro.dist.families import truncated_gaussian_pdf
+
+        p = truncated_gaussian_pdf(4.0, 1234.0, 40.0)
+        p.percentile(0.9)
+        p.trimmed(1e-9)
+        blob = pickle.dumps(p)
+        q = pickle.loads(blob)
+        assert q.dt == p.dt and q.offset == p.offset
+        assert np.array_equal(q.masses, p.masses)
+        assert not q.masses.flags.writeable
+        leaked = {"_cdf", "_unit_cdf", "_knots", "_ramp_floor",
+                  "_trim_level", "_fp"} & set(q.__dict__)
+        assert not leaked
+        # Rebuilt memos are bitwise the originals (pure functions of
+        # the defining triple).
+        assert q.percentile(0.9) == p.percentile(0.9)

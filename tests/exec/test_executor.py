@@ -1,16 +1,13 @@
-"""Unit tests for the execution-plan layer (`repro.exec`).
+"""Unit tests for the execution seam (`repro.exec`).
 
-Covers the shard geometry, the Serial/Process executor equivalence on
-raw kernel batches (bitwise outputs, identical counter deltas), the
-IPC payload round trip, the non-registry-backend fallback, and the
-kernel-layer integration (``convolve_many`` / ``stat_max_groups`` with
-an executor == without, values and tallies).
+Covers the serial executor against the inline kernel helpers (bitwise
+outputs, identical counter deltas) and the kernel-layer integration
+(``convolve_many`` / ``stat_max_groups`` with the executor == without,
+values, tallies, and cache statistics).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dist.backends import get_backend
 from repro.dist.cache import ConvolutionCache
@@ -22,38 +19,11 @@ from repro.dist.ops import (
     max_batch_raws,
     stat_max_groups,
 )
-from repro.dist.pdf import DiscretePDF
-from repro.exec import (
-    ProcessExecutor,
-    SERIAL_EXECUTOR,
-    SerialExecutor,
-    get_executor,
-    shard_ranges,
-)
-
-from tests.conftest import ALL_BACKENDS
+from repro.exec import SERIAL_EXECUTOR, SerialExecutor
 
 
 def g(center, sigma=40.0, dt=4.0):
     return truncated_gaussian_pdf(dt, center, sigma)
-
-
-@pytest.fixture(scope="module")
-def pool2():
-    """The shared 2-worker plan (persistent pool, spawned once)."""
-    return get_executor(2)
-
-
-@pytest.fixture(scope="module")
-def eager2():
-    """A 2-worker plan that shards even 2-item batches, so tiny test
-    batches actually cross the process boundary.  Pinned to the pickle
-    transport: these tests exercise the PR-5 wire format (the shm
-    transport's differential reference); the arena transport has its
-    own eager fixture in ``test_arena.py``."""
-    ex = ProcessExecutor(2, min_items_per_shard=1, transport="pickle")
-    yield ex
-    ex.close()
 
 
 def _pairs(n):
@@ -70,29 +40,6 @@ def _groups(n):
         out.append(tuple(g(400.0 + 13 * i + 31 * j, 20.0 + 5 * j)
                          for j in range(k)))
     return out
-
-
-class TestShardRanges:
-    @given(
-        n_items=st.integers(min_value=0, max_value=500),
-        jobs=st.integers(min_value=1, max_value=16),
-        min_per=st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_partition_properties(self, n_items, jobs, min_per):
-        bounds = shard_ranges(n_items, jobs, min_items_per_shard=min_per)
-        # Exact contiguous cover of range(n_items), in order.
-        flat = [i for start, stop in bounds for i in range(start, stop)]
-        assert flat == list(range(n_items))
-        assert len(bounds) <= jobs
-        if n_items:
-            sizes = [stop - start for start, stop in bounds]
-            assert max(sizes) - min(sizes) <= 1
-            if n_items < 2 * min_per:
-                assert len(bounds) == 1  # not worth splitting
-
-    def test_empty(self):
-        assert shard_ranges(0, 4) == []
 
 
 class TestSerialExecutor:
@@ -117,285 +64,55 @@ class TestSerialExecutor:
         assert counter.max_ops == sum(len(gr) - 1 for gr in groups)
 
 
-class TestProcessExecutor:
-    def test_convolve_bitwise_and_tally(self, backend, eager2):
-        kernel = get_backend(backend)
-        for n in (2, 3, 7, 16):
-            pairs = _pairs(n)
-            cp, cs = OpCounter(), OpCounter()
-            par = eager2.run_convolve_batch(kernel, pairs, counter=cp)
-            ser = SERIAL_EXECUTOR.run_convolve_batch(
-                kernel, pairs, counter=cs
-            )
-            assert len(par) == n
-            for a, b in zip(par, ser):
-                assert np.array_equal(a, b)
-            assert cp.convolutions == cs.convolutions == n
-
-    def test_max_bitwise_and_tally(self, eager2):
-        for n in (2, 5, 9):
-            groups = _groups(n)
-            cp, cs = OpCounter(), OpCounter()
-            par = eager2.run_max_batch(groups, counter=cp)
-            ser = SERIAL_EXECUTOR.run_max_batch(groups, counter=cs)
-            for (lo_a, m_a), (lo_b, m_b) in zip(par, ser):
-                assert lo_a == lo_b
-                assert np.array_equal(m_a, m_b)
-            assert cp.max_ops == cs.max_ops
-
-    def test_small_batch_runs_inline(self, pool2):
-        """One worthwhile shard or less: no IPC, same bits (the pool is
-        not even spawned by this path)."""
-        kernel = get_backend("direct")
-        pairs = _pairs(1)
-        raws = pool2.run_convolve_batch(kernel, pairs)
-        assert np.array_equal(raws[0], convolve_batch_raws(kernel, pairs)[0])
-
-    def test_non_registry_backend_falls_back_to_serial(self, eager2):
-        class Custom:
-            name = "custom-direct"
-
-            def convolve_masses(self, a, b):
-                return np.convolve(a, b)
-
-        kernel = Custom()
-        pairs = _pairs(6)
-        counter = OpCounter()
-        raws = eager2.run_convolve_batch(kernel, pairs, counter=counter)
-        ref = convolve_batch_raws(kernel, pairs)
-        for a, b in zip(raws, ref):
-            assert np.array_equal(a, b)
-        assert counter.convolutions == 6
-
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(1)
-        with pytest.raises(ValueError):
-            ProcessExecutor(True)
-
-    def test_get_executor_shares_instances(self):
-        assert get_executor(1) is SERIAL_EXECUTOR
-        assert get_executor(2) is get_executor(2)
-        with pytest.raises(ValueError):
-            get_executor(0)
-
-    def test_shutdown_keeps_executors_registered(self):
-        """shutdown_executors closes pools but keeps the instances:
-        engines hold executors by reference, so the registry must stay
-        a stable singleton per jobs count — a stale reference and a
-        fresh get_executor must never manage two separate pools."""
-        from repro.exec import shutdown_executors
-
-        held = get_executor(2)  # what an engine would keep
-        shutdown_executors()
-        assert get_executor(2) is held
-        kernel = get_backend("direct")
-        raws = held.run_convolve_batch(kernel, _pairs(8))
-        assert len(raws) == 8  # tracked pool respawned on demand
-        shutdown_executors()
-
-    def test_stdin_main_degrades_to_serial_without_noise(self):
-        """A parent whose __main__ came from stdin cannot be re-imported
-        by spawn children; the plan must degrade to in-process execution
-        up front — correct results, no worker-crash tracebacks."""
-        import subprocess
-        import sys
-
-        script = (
-            "import sys; sys.path.insert(0, 'src')\n"
-            "import numpy as np\n"
-            "from repro.config import AnalysisConfig\n"
-            "from repro.netlist.benchmarks import load\n"
-            "from repro.timing.delay_model import DelayModel\n"
-            "from repro.timing.graph import TimingGraph\n"
-            "from repro.timing.ssta import run_ssta\n"
-            "res = {}\n"
-            "for jobs in (1, 2):\n"
-            "    cfg = AnalysisConfig(jobs=jobs)\n"
-            "    c = load('c17')\n"
-            "    res[jobs] = run_ssta(TimingGraph(c), DelayModel(c, config=cfg),\n"
-            "                         config=cfg).sink_pdf\n"
-            "assert res[1].offset == res[2].offset\n"
-            "assert np.array_equal(res[1].masses, res[2].masses)\n"
-            "print('STDIN-OK')\n"
-        )
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parents[2]
-        proc = subprocess.run(
-            [sys.executable, "-"], input=script, capture_output=True,
-            text=True, cwd=repo_root, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "STDIN-OK" in proc.stdout
-        assert "Traceback" not in proc.stderr
-
-    def test_close_is_idempotent_and_pool_respawns(self, eager2):
-        eager2.close()
-        eager2.close()
-        kernel = get_backend("direct")
-        raws = eager2.run_convolve_batch(kernel, _pairs(4))
-        assert len(raws) == 4
-
-    def test_broken_pool_latches_serial(self):
-        """One BrokenProcessPool downgrades the executor for its
-        lifetime: results stay correct (serial fallback) and no
-        further dispatch — hence no per-batch respawn cycle — is
-        attempted until an explicit close() clears the latch."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        # min_dispatch_cost_us=0 so the shm cost gate cannot fold these
-        # tiny batches to serial before the dispatch attempt.
-        ex = ProcessExecutor(2, min_items_per_shard=1,
-                             min_dispatch_cost_us=0.0)
-        try:
-            kernel = get_backend("direct")
-            pairs = _pairs(4)
-            ref = convolve_batch_raws(kernel, pairs)
-
-            def boom(*_a, **_k):
-                raise BrokenProcessPool("worker killed")
-
-            ex._dispatch = boom
-            counter = OpCounter()
-            raws = ex.run_convolve_batch(kernel, pairs, counter=counter)
-            for a, b in zip(raws, ref):
-                assert np.array_equal(a, b)
-            assert counter.convolutions == 4
-            assert ex._broken
-
-            def must_not_dispatch(*_a, **_k):
-                raise AssertionError("dispatch attempted on broken pool")
-
-            ex._dispatch = must_not_dispatch
-            raws = ex.run_convolve_batch(kernel, pairs)
-            for a, b in zip(raws, ref):
-                assert np.array_equal(a, b)
-            outs = ex.run_max_batch(_groups(3))
-            assert len(outs) == 3
-
-            del ex.__dict__["_dispatch"]
-            ex.close()  # explicit close clears the latch
-            assert not ex._broken
-            raws = ex.run_convolve_batch(kernel, pairs)
-            for a, b in zip(raws, ref):
-                assert np.array_equal(a, b)
-        finally:
-            ex.close()
-
-    def test_import_repro_does_not_load_pool_module(self):
-        """ProcessExecutor re-exports lazily: a serial `import repro`
-        must not pay for the multiprocessing pool stack."""
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parents[2]
-        code = (
-            "import sys; sys.path.insert(0, 'src')\n"
-            "import repro\n"
-            "assert 'repro.exec.pool' not in sys.modules\n"
-            "assert repro.ProcessExecutor.__name__ == 'ProcessExecutor'\n"
-            "assert 'repro.exec.pool' in sys.modules\n"
-            "print('LAZY-OK')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            cwd=repo_root, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "LAZY-OK" in proc.stdout
-
-
 class TestKernelLayerIntegration:
-    """``convolve_many`` / ``stat_max_groups`` with an executor must be
+    """``convolve_many`` / ``stat_max_groups`` with the executor must be
     indistinguishable from the inline path — results, counters, and
     cache statistics — for every backend, cache on and off."""
 
+    @staticmethod
+    def _both(kernel_fn, operands, backend, cache_cap):
+        """``(results, counter, cache)`` inline, then via the executor."""
+        out = []
+        for ex in (None, SERIAL_EXECUTOR):
+            cache = None if cache_cap is None else ConvolutionCache(cache_cap)
+            counter = OpCounter()
+            res = kernel_fn(
+                operands, trim_eps=1e-9, counter=counter, backend=backend,
+                cache=cache, executor=ex,
+            )
+            out.append((res, counter, cache))
+        return out
+
+    @staticmethod
+    def _assert_same(ref, got, tally):
+        (ref_res, ref_counter, ref_cache), (res, counter, cache) = ref, got
+        for a, b in zip(res, ref_res):
+            assert a.offset == b.offset
+            assert np.array_equal(a.masses, b.masses)
+        assert tally(counter) == tally(ref_counter)
+        if cache is not None:
+            assert (cache.stats.hits, cache.stats.misses) == (
+                ref_cache.stats.hits, ref_cache.stats.misses
+            )
+
     @pytest.mark.parametrize("cache_cap", [None, 1 << 12])
-    def test_convolve_many(self, backend, cache_cap, eager2):
+    def test_convolve_many(self, backend, cache_cap):
         pdf_pairs = [
             (g(500.0 + 3 * i), g(700.0 + 5 * (i % 4), 30.0))
             for i in range(9)
         ]
         pdf_pairs.append(pdf_pairs[0])  # intra-batch duplicate
-        out = {}
-        for ex in (None, SERIAL_EXECUTOR, eager2):
-            cache = None if cache_cap is None else ConvolutionCache(cache_cap)
-            counter = OpCounter()
-            res = convolve_many(
-                pdf_pairs, trim_eps=1e-9, counter=counter, backend=backend,
-                cache=cache, executor=ex,
-            )
-            out[ex] = (res, counter, cache)
-        ref_res, ref_counter, ref_cache = out[None]
-        for ex in (SERIAL_EXECUTOR, eager2):
-            res, counter, cache = out[ex]
-            for a, b in zip(res, ref_res):
-                assert a.offset == b.offset
-                assert np.array_equal(a.masses, b.masses)
-            assert (counter.convolutions, counter.convolve_cache_hits) == (
-                ref_counter.convolutions, ref_counter.convolve_cache_hits
-            )
-            if cache is not None:
-                assert (cache.stats.hits, cache.stats.misses) == (
-                    ref_cache.stats.hits, ref_cache.stats.misses
-                )
+        ref, got = self._both(convolve_many, pdf_pairs, backend, cache_cap)
+        self._assert_same(
+            ref, got, lambda c: (c.convolutions, c.convolve_cache_hits)
+        )
 
     @pytest.mark.parametrize("cache_cap", [None, 1 << 12])
-    def test_stat_max_groups(self, backend, cache_cap, eager2):
+    def test_stat_max_groups(self, backend, cache_cap):
         groups = [list(gr) for gr in _groups(7)]
         groups.append(list(groups[1]))  # intra-batch duplicate group
         groups.append([g(100.0)])       # single-operand passthrough
-        out = {}
-        for ex in (None, SERIAL_EXECUTOR, eager2):
-            cache = None if cache_cap is None else ConvolutionCache(cache_cap)
-            counter = OpCounter()
-            res = stat_max_groups(
-                groups, trim_eps=1e-9, counter=counter, backend=backend,
-                cache=cache, executor=ex,
-            )
-            out[ex] = (res, counter, cache)
-        ref_res, ref_counter, ref_cache = out[None]
-        for ex in (SERIAL_EXECUTOR, eager2):
-            res, counter, cache = out[ex]
-            for a, b in zip(res, ref_res):
-                assert a.offset == b.offset
-                assert np.array_equal(a.masses, b.masses)
-            assert (counter.max_ops, counter.max_cache_hits) == (
-                ref_counter.max_ops, ref_counter.max_cache_hits
-            )
-            if cache is not None:
-                assert (cache.stats.hits, cache.stats.misses) == (
-                    ref_cache.stats.hits, ref_cache.stats.misses
-                )
-
-
-class TestIPCPayloads:
-    def test_pdf_pickle_is_memo_stripped_and_bitwise(self):
-        import pickle
-
-        p = g(1234.0)
-        p.percentile(0.9)
-        p.trimmed(1e-9)
-        blob = pickle.dumps(p)
-        q = pickle.loads(blob)
-        assert q.dt == p.dt and q.offset == p.offset
-        assert np.array_equal(q.masses, p.masses)
-        assert not q.masses.flags.writeable
-        leaked = {"_cdf", "_unit_cdf", "_knots", "_ramp_floor",
-                  "_trim_level", "_fp"} & set(q.__dict__)
-        assert not leaked
-        # Rebuilt memos are bitwise the originals (pure functions of
-        # the defining triple).
-        assert q.percentile(0.9) == p.percentile(0.9)
-
-    def test_shard_result_roundtrip(self):
-        import pickle
-
-        from repro.exec.ipc import ShardResult
-
-        res = ShardResult([np.arange(4.0)], OpCounter(convolutions=3))
-        back = pickle.loads(pickle.dumps(res))
-        assert np.array_equal(back.outputs[0], res.outputs[0])
-        assert back.counter.convolutions == 3
+        ref, got = self._both(stat_max_groups, groups, backend, cache_cap)
+        self._assert_same(
+            ref, got, lambda c: (c.max_ops, c.max_cache_hits)
+        )

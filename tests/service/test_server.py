@@ -52,7 +52,7 @@ def client(server):
 
 
 def _local_sink(name, scale=1.0):
-    cfg = FAST.with_updates(cache=None, jobs=1)
+    cfg = FAST.with_updates(cache=None)
     circuit = load(name, scale=scale)
     return run_ssta(
         TimingGraph(circuit), DelayModel(circuit, config=cfg), config=cfg
@@ -60,7 +60,7 @@ def _local_sink(name, scale=1.0):
 
 
 def _local_sizing(name, scale=1.0, iterations=3):
-    cfg = FAST.with_updates(cache=None, jobs=1)
+    cfg = FAST.with_updates(cache=None)
     return PrunedStatisticalSizer(
         load(name, scale=scale), config=cfg, max_iterations=iterations
     ).run()

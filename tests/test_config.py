@@ -53,19 +53,19 @@ class TestAnalysisConfig:
             ("sigma_fraction", -0.1),
             ("truncation_sigma", 0.0),
             ("delta_w", 0.0),
-            ("jobs", 0),
-            ("jobs", -2),
-            ("jobs", 1.5),
-            ("jobs", True),
+            ("dt", float("nan")),
+            ("dt", float("inf")),
+            ("sigma_fraction", float("nan")),
+            ("sigma_fraction", float("inf")),
+            ("truncation_sigma", float("nan")),
+            ("truncation_sigma", float("inf")),
+            ("delta_w", float("nan")),
+            ("delta_w", float("inf")),
         ],
     )
     def test_invalid_values(self, field, value):
         with pytest.raises(ValueError):
             AnalysisConfig(**{field: value})
-
-    def test_jobs_default_and_updates(self):
-        assert DEFAULT_CONFIG.jobs == 1
-        assert DEFAULT_CONFIG.with_updates(jobs=4).jobs == 4
 
     def test_zero_tail_eps_allowed(self):
         assert AnalysisConfig(tail_eps=0.0).tail_eps == 0.0
