@@ -3,11 +3,12 @@
 
 Measures convolve (under every registered backend, cold and through a
 warm :class:`ConvolutionCache` hit), batched ``convolve_many`` against
-the looped kernels, the compiled kernel tier against NumPy ``direct``
-at sub-crossover sizes — scalar and batched miss path, plus the
-re-measured compiled-vs-FFT crossover (the ``kernels.compiled``
-section), the Theorem-4 percentile gap in NumPy against the compiled
-provider at 17/153/1025 bins (the ``kernels.gap`` section), stat_max
+the looped kernels, the compiled provider against NumPy ``direct``
+at sub-crossover sizes — raw batch convolution and the fused miss-path
+kernel, plus the re-measured compiled-vs-FFT crossover (the
+``kernels.compiled`` section), the Theorem-4 percentile gap in NumPy
+against the compiled provider at 17/153/1025 bins (the ``kernels.gap``
+section), stat_max
 and stat_max_many throughput against bin count, locates the measured
 direct-vs-FFT equal-size crossover, times a full
 ``run_ssta`` pass on c432 per backend, runs the c432 sizers end-to-end cache-on vs
@@ -33,11 +34,11 @@ job to catch regressions pre-merge; the process exits non-zero on
 violation):
 
 * FFT-vs-direct sink percentiles agree within tolerance;
-* the compiled tier's c17 sink sits within 1e-12 total variation of
-  the direct sink (both compiled backends; trivially true degraded),
-  and — when a provider resolved — the batched compiled miss path
-  clears ``COMPILED_MIN_SPEEDUP`` over NumPy direct at the smallest
-  swept sizes;
+* the ``compiled-auto`` c17 sink sits within 1e-12 total variation
+  of the direct sink (trivially true degraded), and — when a provider
+  resolved — the compiled miss-path kernel clears
+  ``COMPILED_MIN_SPEEDUP`` over NumPy direct at the smallest swept
+  sizes;
 * the compiled percentile gap equals the NumPy gap on every
   (base, perturbed) pair one pruned c432 sizing iteration evaluates
   (skipped, never failed, when no provider serves the gap);
@@ -249,123 +250,110 @@ def _rand_pdf(rng, n: int, offset: int = 0):
 
 
 def _bench_compiled(quick: bool) -> dict:
-    """The compiled kernel tier against the NumPy ``direct`` kernels —
-    the ``kernels.compiled`` section.
+    """The compiled provider against the NumPy ``direct`` kernels —
+    the ``kernels.compiled`` section, timed through the provider
+    itself (``get_provider()``).
 
-    Three comparisons per sub-crossover size, all on the cache-miss
-    path over a ``COMPILED_BATCH``-wide level:
+    Two comparisons per sub-crossover size, over a
+    ``COMPILED_BATCH``-wide level:
 
-    * ``scalar`` — one ``convolve`` call per pair (one FFI round trip
-      each; the per-call floor);
-    * ``batched`` — the ``convolve_many`` miss path end to end,
-      including the batch bookkeeping both backends share;
-    * ``kernel`` — the per-result work the tier actually replaced: the
-      NumPy dispatch sequence (``np.convolve`` + the ``_trusted`` trim
-      construction) per pair, against one fused provider call for the
-      whole batch.  This isolates the dispatch elimination from the
-      shared ``convolve_many`` overhead and is what the drift gate
-      measures.
+    * ``conv`` — raw convolution of the whole batch: a ``np.convolve``
+      loop against one ``conv_many`` call;
+    * ``kernel`` — the per-result work the tier replaced on the
+      cache-miss path: the NumPy dispatch sequence (``np.convolve`` +
+      the ``_trusted`` trim construction) per pair, against one fused
+      ``conv_trim_many`` call for the whole batch.  This is what the
+      drift gate measures.
 
     Also re-measures the compiled-vs-FFT equal-size crossover the
-    ``compiled-auto`` cost model guards, recorded like
-    ``measured_crossover_bins``.  On a degraded host (no numba, no C
-    compiler) the section records the degradation, kernel rows are
-    absent, and the scalar/batched ratios honestly sit near 1.0x —
-    the fallback *is* the direct arithmetic.
+    ``compiled-auto`` cost model guards (``conv_one`` against the FFT
+    backend's ``convolve_masses``), recorded like
+    ``measured_crossover_bins``.  On a degraded host (no C compiler)
+    the section records the degradation and carries no rows.
     """
     from repro.dist import _compiled
-    from repro.dist.backends import COMPILED_EQUAL_SIZE_CROSSOVER_BINS
+    from repro.dist.backends import (
+        COMPILED_EQUAL_SIZE_CROSSOVER_BINS,
+        get_backend,
+    )
     from repro.dist.pdf import DiscretePDF
 
-    kind = _compiled.provider_kind()
     provider = _compiled.get_provider()
     out = {
-        "provider": kind,
-        "degraded_reason": None if kind else _compiled.fail_reason(),
+        "provider": _compiled.provider_kind(),
+        "degraded_reason": None if provider else _compiled.fail_reason(),
         "batch": COMPILED_BATCH,
+        "rows": [],
+        "measured_compiled_fft_crossover_bins": None,
+        "crossover_anchor_bins": COMPILED_EQUAL_SIZE_CROSSOVER_BINS,
     }
+    if provider is None:
+        print(f"compiled section skipped: tier degraded "
+              f"({out['degraded_reason']})")
+        return out
     rng = np.random.default_rng(2005)
-    rows = []
     for n in COMPILED_BIN_COUNTS[:4] if quick else COMPILED_BIN_COUNTS:
         pairs = [
             (_rand_pdf(rng, n), _rand_pdf(rng, n, offset=3))
             for _ in range(COMPILED_BATCH)
         ]
-        a, b = pairs[0]
-        row = {"bins": n}
-        for backend in ("direct", "compiled"):
-            t = _time_op(
-                lambda: convolve(a, b, trim_eps=TRIM_EPS, backend=backend)
-            )
-            row[f"scalar_{backend}_us"] = round(t * 1e6, 3)
-            t = _time_op(
-                lambda: convolve_many(pairs, trim_eps=TRIM_EPS,
-                                      backend=backend)
-            )
-            row[f"batched_{backend}_us"] = round(t * 1e6, 3)
-        row["scalar_speedup"] = round(
-            row["scalar_direct_us"] / row["scalar_compiled_us"], 3
-        )
-        row["batched_speedup"] = round(
-            row["batched_direct_us"] / row["batched_compiled_us"], 3
-        )
-        if provider is not None:
-            masses = [(p.masses, q.masses) for p, q in pairs]
-            dts = [p.dt for p, _ in pairs]
-            offs = [p.offset + q.offset for p, q in pairs]
+        masses = [(p.masses, q.masses) for p, q in pairs]
+        dts = [p.dt for p, _ in pairs]
+        offs = [p.offset + q.offset for p, q in pairs]
 
-            def numpy_kernel():
-                trusted = DiscretePDF._trusted  # noqa: SLF001
-                for (am, bm), dt, off in zip(masses, dts, offs):
-                    raw = np.convolve(am, bm)
-                    trusted(dt, off, raw).trimmed(TRIM_EPS)
+        def numpy_kernel():
+            trusted = DiscretePDF._trusted  # noqa: SLF001
+            for (am, bm), dt, off in zip(masses, dts, offs):
+                raw = np.convolve(am, bm)
+                trusted(dt, off, raw).trimmed(TRIM_EPS)
 
-            t_nk = _time_op(numpy_kernel)
-            t_ck = _time_op(
-                lambda: provider.conv_trim_many(
-                    masses, dts, offs, TRIM_EPS, False
-                )
+        t_nc = _time_op(lambda: [np.convolve(am, bm) for am, bm in masses])
+        t_cc = _time_op(lambda: provider.conv_many(masses))
+        t_nk = _time_op(numpy_kernel)
+        t_ck = _time_op(
+            lambda: provider.conv_trim_many(
+                masses, dts, offs, TRIM_EPS, False
             )
-            row["kernel_direct_us"] = round(t_nk * 1e6, 3)
-            row["kernel_compiled_us"] = round(t_ck * 1e6, 3)
-            row["kernel_speedup"] = round(t_nk / t_ck, 3)
-        rows.append(row)
-        kern = (
-            f"  kernel {row['kernel_speedup']:.2f}x"
-            if "kernel_speedup" in row else ""
         )
+        row = {
+            "bins": n,
+            "conv_direct_us": round(t_nc * 1e6, 3),
+            "conv_compiled_us": round(t_cc * 1e6, 3),
+            "conv_speedup": round(t_nc / t_cc, 3),
+            "kernel_direct_us": round(t_nk * 1e6, 3),
+            "kernel_compiled_us": round(t_ck * 1e6, 3),
+            "kernel_speedup": round(t_nk / t_ck, 3),
+        }
+        out["rows"].append(row)
         print(
-            f"compiled bins={n:5d}  scalar "
-            f"direct={row['scalar_direct_us']:8.2f} us "
-            f"compiled={row['scalar_compiled_us']:8.2f} us "
-            f"({row['scalar_speedup']:.2f}x)   batch-{COMPILED_BATCH} "
-            f"direct={row['batched_direct_us']:9.1f} us "
-            f"compiled={row['batched_compiled_us']:9.1f} us "
-            f"({row['batched_speedup']:.2f}x){kern}"
+            f"compiled bins={n:5d}  batch-{COMPILED_BATCH} conv "
+            f"direct={row['conv_direct_us']:9.1f} us "
+            f"compiled={row['conv_compiled_us']:9.1f} us "
+            f"({row['conv_speedup']:.2f}x)  kernel "
+            f"direct={row['kernel_direct_us']:9.1f} us "
+            f"compiled={row['kernel_compiled_us']:9.1f} us "
+            f"({row['kernel_speedup']:.2f}x)"
         )
-    out["rows"] = rows
 
     # compiled-vs-FFT equal-size crossover: smallest swept size where
     # FFT beats the compiled direct loop (None when FFT never wins in
     # the sweep) — the measurement behind the compiled-auto cost
     # model, next to its compile-time anchor.
+    fft = get_backend("fft")
     crossover = None
     n = 64
     while n <= (1024 if quick else 8192):
-        a = _rand_pdf(rng, n)
-        b = _rand_pdf(rng, n, offset=3)
-        t_comp = _time_op(
-            lambda: convolve(a, b, backend="compiled"), min_seconds=0.02
-        )
+        a = rng.random(n) + 1e-4
+        b = rng.random(n) + 1e-4
+        t_comp = _time_op(lambda: provider.conv_one(a, b), min_seconds=0.02)
         t_fft = _time_op(
-            lambda: convolve(a, b, backend="fft"), min_seconds=0.02
+            lambda: fft.convolve_masses(a, b), min_seconds=0.02
         )
         if t_fft < t_comp:
             crossover = n
             break
         n *= 2
     out["measured_compiled_fft_crossover_bins"] = crossover
-    out["crossover_anchor_bins"] = COMPILED_EQUAL_SIZE_CROSSOVER_BINS
     print(
         "measured compiled/FFT equal-size crossover: "
         + (f"~{crossover} bins" if crossover else "not found within sweep")
@@ -1242,25 +1230,22 @@ def _check_drift(bin_counts, min_hit_rate: float, compiled=None) -> list:
     if sink_drift > DRIFT_TOL_PS:
         failures.append(("c17-sink", sink_drift))
 
-    # Compiled tier, end to end: the c17 sink under each compiled
-    # backend must sit within COMPILED_SINK_TV total variation of the
-    # direct sink (degraded hosts pass trivially — the fallback IS the
-    # direct arithmetic, bitwise).
-    from repro.dist import _compiled
-
-    for backend in ("compiled", "compiled-auto"):
-        cfg = AnalysisConfig(backend=backend)
-        circuit = load("c17")
-        model = DelayModel(circuit, config=cfg)
-        sink = run_ssta(TimingGraph(circuit), model, config=cfg).sink_pdf
-        tv = sinks["direct"].tv_distance(sink)
-        report.append({
-            "circuit": "c17", "backend": backend,
-            "compiled_vs_direct_sink_tv": tv,
-        })
-        print(f"drift c17 compiled/direct [{backend:13s}]  tv={tv:.3e}")
-        if tv > COMPILED_SINK_TV:
-            failures.append((f"c17-{backend}-sink-tv", tv))
+    # Compiled tier, end to end: the c17 sink under compiled-auto
+    # must sit within COMPILED_SINK_TV total variation of the direct
+    # sink (degraded hosts pass trivially — the fallback IS the direct
+    # arithmetic, bitwise).
+    cfg = AnalysisConfig(backend="compiled-auto")
+    circuit = load("c17")
+    model = DelayModel(circuit, config=cfg)
+    sink = run_ssta(TimingGraph(circuit), model, config=cfg).sink_pdf
+    tv = sinks["direct"].tv_distance(sink)
+    report.append({
+        "circuit": "c17", "backend": "compiled-auto",
+        "compiled_vs_direct_sink_tv": tv,
+    })
+    print(f"drift c17 compiled/direct [compiled-auto]  tv={tv:.3e}")
+    if tv > COMPILED_SINK_TV:
+        failures.append(("c17-compiled-auto-sink-tv", tv))
 
     # Compiled miss-path speedup: the kernel rows at the smallest
     # swept sizes must clear COMPILED_MIN_SPEEDUP over the per-result
@@ -1449,7 +1434,7 @@ def main(argv=None) -> int:
                              "any batched-vs-sequential sink inequality "
                              "(exact, per backend, cache on/off), "
                              "a compiled sink off direct by more than "
-                             "1e-12 TV or a compiled batched speedup "
+                             "1e-12 TV or a compiled kernel speedup "
                              f"under {COMPILED_MIN_SPEEDUP:.0f}x at the "
                              "smallest sizes (provider permitting), "
                              "a compiled gap unequal to the NumPy gap "

@@ -467,11 +467,10 @@ def _add_level_batch_flag(parser: argparse.ArgumentParser) -> None:
                         default=None, metavar="B",
                         help="convolution backend: 'auto' (default) "
                              "dispatches direct/fft by operand size; "
-                             "'compiled' / 'compiled-auto' run the "
-                             "compiled kernel tier (numba or a C "
-                             "library built on first use; degrades to "
-                             "the pure-NumPy direct numerics with a "
-                             "warning when neither is available)")
+                             "'compiled-auto' does the same with a C "
+                             "direct kernel built on first use "
+                             "(NumPy direct numerics, with a warning, "
+                             "when no C compiler is available)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,14 +43,11 @@ DEFAULT_DELTA_W: float = 0.25
 #: ``direct`` is the O(n*m) ``np.convolve`` kernel (bit-for-bit the
 #: historical behavior), ``fft`` the real-FFT product kernel, ``auto``
 #: a size-based crossover between the two (see
-#: :mod:`repro.dist.backends` for the calibrated cost model),
-#: ``compiled`` the compiled direct-kernel tier (numba or a C library;
-#: degrades to ``direct`` numerics when neither is available), and
-#: ``compiled-auto`` the crossover with the compiled kernel on the
-#: direct side.
-KNOWN_BACKENDS: tuple = (
-    "direct", "fft", "auto", "compiled", "compiled-auto"
-)
+#: :mod:`repro.dist.backends` for the calibrated cost model), and
+#: ``compiled-auto`` the crossover with a compiled C direct kernel on
+#: the direct side (NumPy direct numerics when no C library can be
+#: built).
+KNOWN_BACKENDS: tuple = ("direct", "fft", "auto", "compiled-auto")
 
 #: Default convolution backend.  ``auto`` dispatches to ``direct`` for
 #: every operand pair below the crossover — which covers the default

@@ -1,14 +1,12 @@
-"""Compiled providers for the ``compiled`` backend tier.
+"""The compiled kernel provider behind the ``compiled-auto`` backend.
 
-The :class:`~repro.dist.backends.CompiledBackend` family delegates its
-inner loops to a *provider* resolved here: numba ``@njit`` kernels when
-numba is importable (the ``[compiled]`` install extra), otherwise a
-tiny C library compiled on first use with the system C compiler and
-loaded through cffi (or ctypes when cffi is absent).  When neither
-provider can be stood up — no numba, no compiler — ``get_provider()``
-returns ``None`` and the compiled backends degrade to the pure-NumPy
-``direct`` numerics with a single warning, so selecting ``compiled``
-is always safe.
+:class:`~repro.dist.backends.CompiledAutoBackend` delegates its inner
+loops to the provider resolved here: a tiny C library compiled on first
+use with the system C compiler and loaded through cffi.  When it cannot
+be stood up — no C compiler, no cffi, or a failed self-check —
+``get_provider()`` returns ``None`` and the backend degrades to the
+pure-NumPy numerics with a single warning, so selecting
+``compiled-auto`` is always safe.
 
 Four kernel families are provided.  The first three operate on packed
 flat buffers (operands concatenated, ``int64`` offset/length arrays)
@@ -28,15 +26,15 @@ so a whole level batch costs one foreign call:
   multiplications and subtractions in the same order, with
   ``-ffp-contract=off`` pinning the C build.  A self-check verifies it
   and disables the sweep (never the provider) on any mismatch.
-* **percentile gap** (C provider only) — the Theorem-4 bound
-  ``max_percentile_gap(a, b)`` of :mod:`repro.dist.metrics`, one pair
-  per call: both knot sets are built on the fly (sequential cumsum,
-  clip at 1, last knot pinned) and, because each operand's knot levels
-  are non-decreasing, NumPy's two ``searchsorted`` inverses and the
-  ``np.interp`` margin lookup become monotone pointers in one linear
-  pass.  Same operations in the same order as the NumPy body, so the
-  result is the same float; the metric uses it under *every* backend.
-  A self-check mismatch sets only ``gap_ok = False``.
+* **percentile gap** — the Theorem-4 bound ``max_percentile_gap(a, b)``
+  of :mod:`repro.dist.metrics`, one pair per call: both knot sets are
+  built on the fly (sequential cumsum, clip at 1, last knot pinned)
+  and, because each operand's knot levels are non-decreasing, NumPy's
+  two ``searchsorted`` inverses and the ``np.interp`` margin lookup
+  become monotone pointers in one linear pass.  Same operations in the
+  same order as the NumPy body, so the result is the same float; the
+  metric uses it under *every* backend.  A self-check mismatch sets
+  only ``gap_ok = False``.
 
 Equivalence classes: the convolve/trim family is a *tolerance* class
 like the FFT backend — within 1e-12 total variation of ``direct`` but
@@ -395,46 +393,40 @@ _C_FLAG_SETS = (
     _C_FLAGS_BASE,
 )
 
-#: The library's entry points, ``name: (return type, argument types)``
-#: in C spelling.  The cffi ``cdef`` is generated from this table and
-#: the ctypes loader types every entry from it (a ``double`` read back
-#: as ``long long`` is garbage; an untyped Python int goes out as C
-#: ``int``).
-_ENTRY_POINTS = {
-    "repro_conv_batch": ("long long", (
-        "const double *", "const long long *", "const long long *",
-        "const double *", "const long long *", "const long long *",
-        "double *", "const long long *", "long long",
-    )),
-    "repro_conv_trim_batch": ("long long", (
-        "const double *", "const long long *", "const long long *",
-        "const double *", "const long long *", "const long long *",
-        "double *", "const long long *", "double",
-        "double *", "long long *", "long long *", "long long",
-    )),
-    "repro_trim_batch": ("long long", (
-        "const double *", "const long long *", "const long long *",
-        "double", "double *", "long long *", "long long *", "long long",
-    )),
-    "repro_conv_trim_one": ("long long", (
-        "const double *", "long long", "const double *", "long long",
-        "double *", "double", "double *", "long long *",
-    )),
-    "repro_max_sweep": ("long long", (
-        "const double *", "const long long *", "const long long *",
-        "const long long *", "const long long *", "const long long *",
-        "const long long *", "const long long *", "double *", "long long",
-    )),
-    "repro_gap": ("double", (
-        "const double *", "long long", "long long",
-        "const double *", "long long", "long long", "double", "double",
-    )),
-}
+#: The library's entry points, as cffi declares them.
+_CDEF = """
+long long repro_conv_batch(
+    const double *, const long long *, const long long *,
+    const double *, const long long *, const long long *,
+    double *, const long long *, long long);
+long long repro_conv_trim_batch(
+    const double *, const long long *, const long long *,
+    const double *, const long long *, const long long *,
+    double *, const long long *, double,
+    double *, long long *, long long *, long long);
+long long repro_trim_batch(
+    const double *, const long long *, const long long *,
+    double, double *, long long *, long long *, long long);
+long long repro_conv_trim_one(
+    const double *, long long, const double *, long long,
+    double *, double, double *, long long *);
+long long repro_max_sweep(
+    const double *, const long long *, const long long *,
+    const long long *, const long long *, const long long *,
+    const long long *, const long long *, double *, long long);
+double repro_gap(
+    const double *, long long, long long,
+    const double *, long long, long long, double, double);
+"""
 
-_CDEF = "\n".join(
-    f"{ret} {name}({', '.join(args)});"
-    for name, (ret, args) in _ENTRY_POINTS.items()
-)
+#: The cffi buffer type for each dtype the kernels take.  Any other
+#: dtype is refused, and cffi refuses a ``long long[]`` where a
+#: ``double *`` is declared, so no array is ever read as raw memory of
+#: the wrong type.
+_BUFFER_TYPES = {
+    np.dtype(np.float64): "double[]",
+    np.dtype(np.int64): "long long[]",
+}
 
 
 def _cache_dir() -> Path:
@@ -449,7 +441,7 @@ def _cache_dir() -> Path:
 def _compile_library() -> Path:
     """Compile the C source into a content-addressed shared library,
     reusing a previous build when the source and flags are unchanged
-    (worker processes and later sessions skip straight to dlopen).
+    (later processes skip straight to dlopen).
     ``-march=native`` is attempted first and dropped for compilers
     that reject it."""
     cc = (
@@ -533,91 +525,43 @@ def _check_bins(n: int) -> None:
 
 
 class _CProvider:
-    """C shared-library provider (cffi preferred, ctypes fallback)."""
+    """The C shared library, loaded through cffi."""
 
     kind = "cext"
 
     def __init__(self) -> None:
-        so_path = _compile_library()
-        self._impl = self._load_cffi(so_path) or self._load_ctypes(so_path)
-        if self._impl is None:
-            raise RuntimeError("could not load compiled library")
-        self.max_ok = True
-        self.gap_ok = True
-        self._gap_entry = self._impl["lib"].repro_gap
+        import cffi
 
-    # -- loading -------------------------------------------------------
-    @staticmethod
-    def _load_cffi(so_path: Path):
-        try:
-            import cffi
-        except ImportError:  # pragma: no cover - cffi is ubiquitous
-            return None
+        so_path = _compile_library()
         ffi = cffi.FFI()
         ffi.cdef(_CDEF)
-        lib = ffi.dlopen(str(so_path))
+        self._lib = ffi.dlopen(str(so_path))
+        self._from_buffer = ffi.from_buffer
+        self.max_ok = True
+        self.gap_ok = True
 
-        def dbl(arr):
-            return ffi.from_buffer("double[]", arr, require_writable=False)
-
-        def wdbl(arr):
-            return ffi.from_buffer("double[]", arr)
-
-        def i64(arr):
-            return ffi.from_buffer(
-                "long long[]", arr, require_writable=False
+    def _ptr(self, arr: np.ndarray):
+        """Zero-copy pointer to ``arr``'s data.  ``from_buffer`` raises
+        on a non-contiguous array; a dtype outside
+        :data:`_BUFFER_TYPES` raises here."""
+        btype = _BUFFER_TYPES.get(arr.dtype)
+        if btype is None:
+            raise TypeError(
+                f"compiled kernels take float64/int64 arrays, got {arr.dtype}"
             )
-
-        def wi64(arr):
-            return ffi.from_buffer("long long[]", arr)
-
-        return {
-            "lib": lib, "dbl": dbl, "wdbl": wdbl, "i64": i64, "wi64": wi64
-        }
-
-    @staticmethod
-    def _load_ctypes(so_path: Path):
-        import ctypes
-
-        scalars = {"double": ctypes.c_double, "long long": ctypes.c_longlong}
-
-        def ctype(spelling: str):
-            base = scalars[spelling.replace("const ", "").rstrip(" *")]
-            return ctypes.POINTER(base) if spelling.endswith("*") else base
-
-        lib = ctypes.CDLL(str(so_path))
-        for name, (ret, args) in _ENTRY_POINTS.items():
-            fn = getattr(lib, name)
-            fn.restype = ctype(ret)
-            fn.argtypes = [ctype(arg) for arg in args]
-        dptr = ctypes.POINTER(ctypes.c_double)
-        iptr = ctypes.POINTER(ctypes.c_longlong)
-
-        def dbl(arr):
-            return arr.ctypes.data_as(dptr)
-
-        def i64(arr):
-            return arr.ctypes.data_as(iptr)
-
-        return {"lib": lib, "dbl": dbl, "wdbl": dbl, "i64": i64,
-                "wi64": i64}
-
-    def _call(self, name, *args):
-        return getattr(self._impl["lib"], name)(*args)
+        return self._from_buffer(btype, arr)
 
     # -- convolve ------------------------------------------------------
     def conv_one(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        impl = self._impl
+        ptr = self._ptr
         n = a.size + b.size - 1
         out = np.empty(n)
         # Routed through the fused entry (one code path); the trim
         # writes into scratch and is discarded, the conv output is the
         # contract.
-        rc = self._call(
-            "repro_conv_trim_one",
-            impl["dbl"](a), a.size, impl["dbl"](b), b.size,
-            impl["wdbl"](out), 0.0, impl["wdbl"](np.empty(n)),
-            impl["wi64"](np.empty(1, dtype=np.int64)),
+        rc = self._lib.repro_conv_trim_one(
+            ptr(a), a.size, ptr(b), b.size, ptr(out), 0.0,
+            ptr(np.empty(n)), ptr(np.empty(1, dtype=np.int64)),
         )
         if rc < 0:
             raise DistributionError("total probability mass must be positive")
@@ -626,23 +570,21 @@ class _CProvider:
     def conv_many(self, pairs: Sequence) -> list:
         if not pairs:
             return []
-        impl = self._impl
+        ptr = self._ptr
         A, aoff, alen = _pack([p[0] for p in pairs])
         B, boff, blen = _pack([p[1] for p in pairs])
         olen = alen + blen - 1
         ooff = np.zeros(olen.size + 1, dtype=np.int64)
         np.cumsum(olen, out=ooff[1:])
         OUT = np.empty(int(ooff[-1]))
-        rc = self._call(
-            "repro_conv_batch",
-            impl["dbl"](A), impl["i64"](aoff), impl["i64"](alen),
-            impl["dbl"](B), impl["i64"](boff), impl["i64"](blen),
-            impl["wdbl"](OUT), impl["i64"](ooff), len(pairs),
+        rc = self._lib.repro_conv_batch(
+            ptr(A), ptr(aoff), ptr(alen), ptr(B), ptr(boff), ptr(blen),
+            ptr(OUT), ptr(ooff), len(pairs),
         )
         if rc != 0:  # pragma: no cover - conv_batch cannot fail
             raise DistributionError("compiled convolution failed")
-        # Owned copies: callers (cache stores, worker result shipping)
-        # must not pin the whole batch buffer through one row.
+        # Owned copies: callers (cache stores) must not pin the whole
+        # batch buffer through one row.
         return [
             OUT[ooff[i]:ooff[i + 1]].copy() for i in range(len(pairs))
         ]
@@ -652,17 +594,15 @@ class _CProvider:
         self, a: np.ndarray, b: np.ndarray, dt: float, offset: int,
         trim_eps: float,
     ):
-        impl = self._impl
+        ptr = self._ptr
         n = a.size + b.size - 1
         _check_bins(n)
         raw = np.empty(n)
         kept_buf = np.empty(n)
         klo = np.empty(1, dtype=np.int64)
-        klen = self._call(
-            "repro_conv_trim_one",
-            impl["dbl"](a), a.size, impl["dbl"](b), b.size,
-            impl["wdbl"](raw), trim_eps / 2.0,
-            impl["wdbl"](kept_buf), impl["wi64"](klo),
+        klen = self._lib.repro_conv_trim_one(
+            ptr(a), a.size, ptr(b), b.size, ptr(raw), trim_eps / 2.0,
+            ptr(kept_buf), ptr(klo),
         )
         if klen < 0:
             raise DistributionError("total probability mass must be positive")
@@ -678,7 +618,7 @@ class _CProvider:
     ):
         if not pairs:
             return [], []
-        impl = self._impl
+        ptr = self._ptr
         A, aoff, alen = _pack([p[0] for p in pairs])
         B, boff, blen = _pack([p[1] for p in pairs])
         olen = alen + blen - 1
@@ -689,21 +629,18 @@ class _CProvider:
         KEPT = np.empty(int(ooff[-1]))
         klo = np.empty(len(pairs), dtype=np.int64)
         klen = np.empty(len(pairs), dtype=np.int64)
-        rc = self._call(
-            "repro_conv_trim_batch",
-            impl["dbl"](A), impl["i64"](aoff), impl["i64"](alen),
-            impl["dbl"](B), impl["i64"](boff), impl["i64"](blen),
-            impl["wdbl"](OUT), impl["i64"](ooff), trim_eps / 2.0,
-            impl["wdbl"](KEPT), impl["wi64"](klo), impl["wi64"](klen),
-            len(pairs),
+        rc = self._lib.repro_conv_trim_batch(
+            ptr(A), ptr(aoff), ptr(alen), ptr(B), ptr(boff), ptr(blen),
+            ptr(OUT), ptr(ooff), trim_eps / 2.0,
+            ptr(KEPT), ptr(klo), ptr(klen), len(pairs),
         )
         if rc != 0:
             raise DistributionError("total probability mass must be positive")
         # Results are read-only views into the batch's kept buffer:
         # nothing else ever writes it, and the pinned overhead is
         # bounded by one raw-sized buffer per batch.  Raws (cache
-        # stores, worker shipping) are copied out — long-lived entries
-        # must not pin the batch.
+        # stores) are copied out — long-lived entries must not pin the
+        # batch.
         KEPT.flags.writeable = False
         results = []
         raws = [] if want_raws else None
@@ -739,17 +676,15 @@ class _CProvider:
     def trim_many(self, raws: Sequence, dts, offsets, trim_eps: float):
         if not raws:
             return None, []
-        impl = self._impl
+        ptr = self._ptr
         RAW, roff, rlen = _pack(list(raws))
         _check_bins(int(rlen.max()))
         KEPT = np.empty(RAW.size)
         klo = np.empty(len(raws), dtype=np.int64)
         klen = np.empty(len(raws), dtype=np.int64)
-        rc = self._call(
-            "repro_trim_batch",
-            impl["dbl"](RAW), impl["i64"](roff), impl["i64"](rlen),
-            trim_eps / 2.0, impl["wdbl"](KEPT), impl["wi64"](klo),
-            impl["wi64"](klen), len(raws),
+        rc = self._lib.repro_trim_batch(
+            ptr(RAW), ptr(roff), ptr(rlen), trim_eps / 2.0,
+            ptr(KEPT), ptr(klo), ptr(klen), len(raws),
         )
         if rc != 0:
             raise DistributionError("total probability mass must be positive")
@@ -774,7 +709,7 @@ class _CProvider:
     def max_sweep(self, groups: Sequence) -> list:
         """``(lo, masses)`` per operand group — bitwise the NumPy
         ``_max_masses`` sweep (same multiplies, same order)."""
-        impl = self._impl
+        ptr = self._ptr
         cdfs = []
         rstart = []
         grow0 = np.empty(len(groups), dtype=np.int64)
@@ -796,11 +731,9 @@ class _CProvider:
         CDF, cdfoff, cdflen = _pack(cdfs)
         rstart_arr = np.asarray(rstart, dtype=np.int64)
         OUT = np.empty(int(gooff[-1]))
-        rc = self._call(
-            "repro_max_sweep",
-            impl["dbl"](CDF), impl["i64"](cdfoff), impl["i64"](cdflen),
-            impl["i64"](rstart_arr), impl["i64"](grow0), impl["i64"](gk),
-            impl["i64"](gwidth), impl["i64"](gooff), impl["wdbl"](OUT),
+        rc = self._lib.repro_max_sweep(
+            ptr(CDF), ptr(cdfoff), ptr(cdflen), ptr(rstart_arr),
+            ptr(grow0), ptr(gk), ptr(gwidth), ptr(gooff), ptr(OUT),
             len(groups),
         )
         if rc != 0:  # pragma: no cover - sweep cannot fail
@@ -817,100 +750,16 @@ class _CProvider:
         allocate its knot buffer.  The knots live in a per-call buffer:
         the foreign call releases the GIL and service handler threads
         evaluate gaps concurrently."""
-        dbl = self._impl["dbl"]
+        ptr = self._ptr
         ma, mb = a.masses, b.masses
-        return self._gap_entry(
-            dbl(ma), ma.size, a.offset, dbl(mb), mb.size, b.offset,
+        return self._lib.repro_gap(
+            ptr(ma), ma.size, a.offset, ptr(mb), mb.size, b.offset,
             a.dt, noise_floor,
         )
 
 
-class _NumbaProvider:
-    """numba ``@njit(cache=True)`` provider — same packed layout and
-    loop structure as the C provider, so the self-check exercises the
-    identical contract."""
-
-    kind = "numba"
-
-    def __init__(self) -> None:
-        from . import _compiled_numba as nb
-
-        self._nb = nb
-        self.max_ok = True
-        # No numba gap kernel: max_percentile_gap keeps its NumPy body.
-        self.gap_ok = False
-        # Trigger JIT compilation now (pool warm-up calls land here);
-        # numba's on-disk cache makes repeats cheap.
-        a = np.asarray([0.25, 0.5, 0.25])
-        self.conv_trim_one(a, a, 1.0, 0, 1e-9)
-        self.max_sweep([(
-            DiscretePDF(1.0, 0, a),
-            DiscretePDF(1.0, 1, a),
-        )])
-
-    def conv_one(self, a, b):
-        out = np.zeros(a.size + b.size - 1)
-        self._nb.conv_into(a, b, out)
-        return out
-
-    def conv_many(self, pairs):
-        return [self.conv_one(a, b) for a, b in pairs]
-
-    def conv_trim_one(self, a, b, dt, offset, trim_eps):
-        n = a.size + b.size - 1
-        _check_bins(n)
-        raw = np.zeros(n)
-        self._nb.conv_into(a, b, raw)
-        return raw, self.trim_one(dt, offset, raw, trim_eps)
-
-    def conv_trim_many(self, pairs, dts, offsets, trim_eps, want_raws):
-        raws, results = [], []
-        for i, (a, b) in enumerate(pairs):
-            raw, res = self.conv_trim_one(
-                a, b, dts[i], offsets[i], trim_eps
-            )
-            raws.append(raw)
-            results.append(res)
-        return (raws if want_raws else None), results
-
-    def trim_one(self, dt, offset, raw, trim_eps):
-        _check_bins(raw.size)
-        kept_buf = np.empty(raw.size)
-        lo, klen = self._nb.trim_into(raw, trim_eps / 2.0, kept_buf)
-        if klen < 0:
-            raise DistributionError("total probability mass must be positive")
-        kept_buf.flags.writeable = False
-        return _build_result(
-            dt, int(offset) + int(lo), kept_buf[:klen], trim_eps
-        )
-
-    def trim_many(self, raws, dts, offsets, trim_eps):
-        return None, [
-            self.trim_one(dts[i], offsets[i], raw, trim_eps)
-            for i, raw in enumerate(raws)
-        ]
-
-    def max_sweep(self, groups):
-        out = []
-        for pdfs in groups:
-            lo = min(p.offset for p in pdfs)
-            width = max(p.offset + p.masses.size for p in pdfs) - lo
-            CDF, cdfoff, cdflen = _pack(
-                [p._unit_cdf for p in pdfs]  # noqa: SLF001
-            )
-            rstart = np.asarray(
-                [p.offset - lo for p in pdfs], dtype=np.int64
-            )
-            masses = np.empty(width)
-            self._nb.max_sweep_into(
-                CDF, cdfoff, cdflen, rstart, width, masses
-            )
-            out.append((lo, masses))
-        return out
-
-
 # ----------------------------------------------------------------------
-# Self-check: every provider proves its contract before first use.
+# Self-check: the provider proves its contract before first use.
 # Convolve/trim differentials run against the stock NumPy path at the
 # 1e-12-TV class boundary; the max sweep and the gap must be bitwise.
 # Conv/trim failure rejects the provider outright; a max-sweep or gap
@@ -1047,8 +896,8 @@ _fail_reason: Optional[str] = None
 
 def get_provider():
     """The process-wide compiled provider, or ``None`` when the tier
-    is unavailable (kill switch set, numba absent *and* no compiler,
-    or a provider failed its self-check)."""
+    is unavailable (kill switch set, no C compiler or cffi, or the
+    library failed its self-check)."""
     global _resolved, _provider, _fail_reason
     if _resolved:
         return _provider
@@ -1061,18 +910,11 @@ def get_provider():
             reason = f"{DISABLE_ENV} is set"
         else:
             try:
-                import numba  # noqa: F401
-
-                provider = _NumbaProvider()
+                provider = _CProvider()
             except Exception as exc:
-                numba_reason = f"numba unavailable ({exc.__class__.__name__})"
-                try:
-                    provider = _CProvider()
-                except Exception as c_exc:
-                    reason = (
-                        f"{numba_reason}; C build failed "
-                        f"({c_exc.__class__.__name__}: {c_exc})"
-                    )
+                reason = (
+                    f"C build failed ({exc.__class__.__name__}: {exc})"
+                )
             if provider is not None:
                 try:
                     _self_check(provider)
@@ -1086,7 +928,7 @@ def get_provider():
 
 
 def provider_kind() -> Optional[str]:
-    """``"numba"``, ``"cext"``, or ``None`` (resolving if needed)."""
+    """``"cext"``, or ``None`` when degraded (resolving if needed)."""
     p = get_provider()
     return None if p is None else p.kind
 
@@ -1097,8 +939,8 @@ def fail_reason() -> Optional[str]:
 
 
 def reset_provider_cache() -> None:
-    """Forget the resolved provider (tests toggle the kill switch and
-    patch the numba import; the next use re-resolves)."""
+    """Forget the resolved provider (tests toggle the kill switch or
+    patch the provider class; the next use re-resolves)."""
     global _resolved, _provider, _fail_reason
     with _lock:
         _resolved = False
@@ -1110,17 +952,16 @@ _warned = False
 
 
 def warn_degraded_once() -> None:
-    """One warning per process the first time a compiled backend runs
-    degraded (pure-NumPy direct numerics)."""
+    """One warning per process the first time the compiled backend
+    runs degraded (pure-NumPy numerics)."""
     global _warned
     if _warned:
         return
     _warned = True
     warnings.warn(
         "compiled kernel tier unavailable "
-        f"({fail_reason() or 'unknown reason'}); the 'compiled' backends "
-        "fall back to the pure-NumPy direct kernels "
-        "(install the [compiled] extra for the numba tier)",
+        f"({fail_reason() or 'unknown reason'}); 'compiled-auto' falls "
+        "back to the pure-NumPy direct kernel below its FFT crossover",
         RuntimeWarning,
         stacklevel=3,
     )

@@ -31,21 +31,20 @@ Three backends ship:
   which is what lets it be the default without perturbing any
   reproducibility guarantee on ordinary grids.
 
-Two more ship when the compiled tier (:mod:`repro.dist._compiled`) can
-stand up a provider — numba ``@njit`` kernels or a C library built
-with the system compiler — and degrade to the pure-NumPy numerics
+A fourth ships when the compiled tier (:mod:`repro.dist._compiled`)
+can stand up its provider — a C library built with the system compiler
+and loaded through cffi — and degrades to the pure-NumPy numerics
 above (with one warning) when it cannot:
 
-* :class:`CompiledBackend` — the direct convolution, the fused
-  normalize-and-trim construction step, and the grouped-MAX CDF sweep
-  as compiled inner loops.  Raw convolutions sit in the same 1e-12-TV
-  equivalence class as ``fft`` (sequential instead of pairwise
-  reductions); the MAX sweep is **bitwise** the NumPy sweep and is
-  verified before use.  Degraded, it *is* ``direct``, bit for bit.
 * :class:`CompiledAutoBackend` — the ``auto`` cost model with the
-  compiled kernel on the direct side, re-calibrated against the same
-  FFT backend (``scripts/bench_dist.py`` records the measured
-  compiled↔fft crossover next to the direct↔fft one).
+  compiled direct kernel on the direct side, re-calibrated against the
+  same FFT backend (``scripts/bench_dist.py`` records the measured
+  compiled↔fft crossover next to the direct↔fft one).  Results are
+  built by the fused compiled normalize-and-trim step whichever side
+  convolved, and the grouped-MAX CDF sweep runs compiled too.  Raw
+  convolutions sit in the same 1e-12-TV equivalence class as ``fft``
+  (sequential instead of pairwise reductions); the MAX sweep is
+  **bitwise** the NumPy sweep and is verified before use.
 
 Backends are deterministic and carry no *semantic* state: the same
 operand pair always takes the same path and produces the same bits
@@ -79,7 +78,6 @@ __all__ = [
     "DirectBackend",
     "FFTBackend",
     "AutoBackend",
-    "CompiledBackend",
     "CompiledAutoBackend",
     "BackendLike",
     "get_backend",
@@ -425,157 +423,6 @@ class AutoBackend:
         return f"AutoBackend(cost_ratio={self.cost_ratio:g})"
 
 
-class CompiledBackend:
-    """Compiled direct kernels behind the backend protocol.
-
-    Delegates to the provider resolved by
-    :mod:`repro.dist._compiled` — numba ``@njit`` kernels when the
-    ``[compiled]`` extra is installed, else a C library built with the
-    system compiler — and degrades to the pure-NumPy ``direct``
-    numerics (bitwise: the same ``np.convolve``) with one warning when
-    no provider can be stood up or ``REPRO_DISABLE_COMPILED`` is set.
-
-    Beyond the protocol it exposes the *fused* hooks the kernel layer
-    probes with ``getattr``: ``convolve_trimmed`` /
-    ``convolve_many_trimmed`` collapse the convolve → normalize → trim
-    construction into one compiled call (the cache-miss fast path),
-    ``trim_raws`` / ``rebuild_trimmed`` apply the same compiled
-    construction to raws computed elsewhere (the executor's batch, cache
-    replays — keeping every path inside one arithmetic class), and
-    ``grouped_max_raws`` runs the bitwise-verified grouped-MAX sweep.
-    All hooks are gated by the ``fused_trim_active`` /
-    ``max_sweep_active`` properties so callers never need to know
-    whether the tier resolved.
-
-    Provider resolution is lazy — importing this module never compiles
-    anything; ``warm_up()`` forces it (pool workers call it at init so
-    the first level never pays JIT/compile latency).
-    """
-
-    name = "compiled"
-
-    @staticmethod
-    def _provider():
-        from . import _compiled
-
-        p = _compiled.get_provider()
-        if p is None:
-            _compiled.warn_degraded_once()
-        return p
-
-    # -- the ConvolutionBackend protocol ------------------------------
-    def convolve_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        p = self._provider()
-        if p is None:
-            return np.convolve(a, b)
-        return p.conv_one(a, b)
-
-    def convolve_many(self, pairs: Sequence) -> list:
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        p = self._provider()
-        if p is None:
-            return [np.convolve(a, b) for a, b in pairs]
-        return p.conv_many(pairs)
-
-    # -- fused construction hooks -------------------------------------
-    @property
-    def fused_trim_active(self) -> bool:
-        """True when results can be *built* in compiled code.  False
-        degrades every caller to the stock NumPy construction, which
-        keeps the degraded backend bitwise ``direct``."""
-        return self._provider() is not None
-
-    def convolve_trimmed(self, a, b, dt, offset, trim_eps):
-        """Fused miss path: ``(raw, DiscretePDF)`` in one call."""
-        p = self._provider()
-        if p is None:  # pragma: no cover - callers gate on the property
-            from .pdf import DiscretePDF
-
-            raw = np.convolve(a, b)
-            return raw, DiscretePDF._trusted(  # noqa: SLF001
-                dt, offset, raw.copy()
-            ).trimmed(trim_eps)
-        return p.conv_trim_one(a, b, dt, offset, trim_eps)
-
-    def convolve_many_trimmed(self, pairs, dts, offsets, trim_eps,
-                              want_raws: bool):
-        """Batched fused miss path; raws come back only when the caller
-        needs them (cache stores), results always."""
-        p = self._provider()
-        if p is None:  # pragma: no cover - callers gate on the property
-            out = [
-                self.convolve_trimmed(a, b, dt, off, trim_eps)
-                for (a, b), dt, off in zip(pairs, dts, offsets)
-            ]
-            raws = [raw for raw, _ in out] if want_raws else None
-            return raws, [res for _, res in out]
-        return p.conv_trim_many(pairs, dts, offsets, trim_eps, want_raws)
-
-    def trim_raws(self, raws, dts, offsets, trim_eps) -> list:
-        """Compiled construction of results from precomputed raws —
-        bitwise the fused path's results for the same raw bits."""
-        p = self._provider()
-        if p is None:  # pragma: no cover - callers gate on the property
-            from .pdf import DiscretePDF
-
-            return [
-                DiscretePDF._trusted(  # noqa: SLF001
-                    dt, off, np.array(raw)
-                ).trimmed(trim_eps)
-                for raw, dt, off in zip(raws, dts, offsets)
-            ]
-        return p.trim_many(raws, dts, offsets, trim_eps)[1]
-
-    def rebuild_trimmed(self, dt, offset, raw, trim_eps):
-        """Cache-replay construction (translated anchors): same
-        compiled trim as a fresh compute, so replayed and computed
-        entries carry identical bits."""
-        p = self._provider()
-        if p is None:  # pragma: no cover - callers gate on the property
-            from .pdf import DiscretePDF
-
-            return DiscretePDF(dt, offset, raw).trimmed(trim_eps)
-        return p.trim_one(dt, offset, raw, trim_eps)
-
-    # -- grouped MAX --------------------------------------------------
-    @property
-    def max_sweep_active(self) -> bool:
-        """True when the compiled sweep passed its bitwise self-check;
-        False falls back to the NumPy sweep (identical bits either
-        way — that is the precondition, not a tolerance)."""
-        p = self._provider()
-        return p is not None and p.max_ok
-
-    def grouped_max_raws(self, groups) -> list:
-        """``(lo, masses)`` per group, bitwise ``_max_masses``."""
-        p = self._provider()
-        if p is None or not p.max_ok:  # pragma: no cover - gated
-            from .ops import _max_masses
-
-            return [_max_masses(g) for g in groups]
-        return p.max_sweep(groups)
-
-    # -- lifecycle ----------------------------------------------------
-    def warm_up(self):
-        """Force provider resolution (C compile / numba JIT) now.
-        Returns the provider kind (``"numba"``/``"cext"``) or ``None``
-        when degraded — pool workers call this at init.  Deliberately
-        does *not* emit the degraded warning: workers warm every
-        registry backend whether or not the analysis selected this
-        one; the warning belongs to actual degraded use."""
-        from . import _compiled
-
-        p = _compiled.get_provider()
-        return None if p is None else p.kind
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from ._compiled import provider_kind
-
-        return f"CompiledBackend(provider={provider_kind()!r})"
-
-
 #: Calibrated ``k_f / k_d`` for the compiled-auto dispatch.  The
 #: compiled direct kernel runs ~2x the NumPy direct throughput at
 #: sub-crossover sizes, pushing the equal-size crossover vs the same
@@ -590,16 +437,29 @@ COMPILED_EQUAL_SIZE_CROSSOVER_BINS: int = 1024
 
 
 class CompiledAutoBackend:
-    """The :class:`AutoBackend` cost model with the compiled kernel on
-    the direct side.
+    """The :class:`AutoBackend` cost model with the compiled direct
+    kernel on the direct side.
 
-    Convolutions dispatch between :class:`CompiledBackend` and the
-    shared :class:`FFTBackend` singleton (same transform memo as
-    explicit ``fft``) under a re-calibrated cost ratio; *construction*
-    (trim, cache replay, grouped MAX) always goes through the compiled
-    provider regardless of which engine produced the raw, so the whole
-    backend stays in one arithmetic class.  Degraded it is the stock
-    auto dispatch: NumPy direct below the crossover, FFT above.
+    Convolutions dispatch between the compiled provider resolved by
+    :mod:`repro.dist._compiled` and the shared :class:`FFTBackend`
+    singleton (same transform memo as explicit ``fft``) under a
+    re-calibrated cost ratio.  With no provider (no C compiler, or
+    ``REPRO_DISABLE_COMPILED`` set) the compiled side runs
+    ``np.convolve`` after one warning: NumPy direct below the
+    crossover, FFT above.
+
+    Beyond the protocol it exposes the hooks the kernel layer probes
+    with ``getattr``: ``convolve_trimmed`` / ``convolve_many_trimmed``
+    collapse the convolve → normalize → trim construction into one
+    compiled call (the cache-miss fast path), ``trim_raws`` /
+    ``rebuild_trimmed`` apply the same compiled construction to raws
+    computed elsewhere (the FFT side, the executor's batch, cache
+    replays — keeping every path inside one arithmetic class), and
+    ``grouped_max_raws`` runs the bitwise-verified grouped-MAX sweep.
+    Callers gate the construction hooks on ``fused_trim_active`` and
+    the sweep on ``max_sweep_active``, so they never need to know
+    whether the provider resolved.  Resolution is lazy: importing this
+    module never compiles anything.
     """
 
     name = "compiled-auto"
@@ -610,8 +470,16 @@ class CompiledAutoBackend:
                 f"cost_ratio must be positive, got {cost_ratio}"
             )
         self.cost_ratio = cost_ratio
-        self._compiled = _COMPILED
         self._fft = _FFT
+
+    @staticmethod
+    def _provider():
+        from . import _compiled
+
+        p = _compiled.get_provider()
+        if p is None:
+            _compiled.warn_degraded_once()
+        return p
 
     def chooses(self, n_a: int, n_b: int) -> str:
         """``"compiled"`` or ``"fft"`` for this operand pair."""
@@ -619,16 +487,8 @@ class CompiledAutoBackend:
         fft_cost = self.cost_ratio * n_out * np.log2(n_out + 1)
         return "compiled" if n_a * n_b <= fft_cost else "fft"
 
-    def convolve_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.chooses(a.size, b.size) == "compiled":
-            return self._compiled.convolve_masses(a, b)
-        return self._fft.convolve_masses(a, b)
-
-    def convolve_many(self, pairs: Sequence) -> list:
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        out: list = [None] * len(pairs)
+    def _split(self, pairs) -> tuple:
+        """Indices of the compiled-side and of the FFT-side pairs."""
         comp_idx: list = []
         fft_idx: list = []
         for i, (a, b) in enumerate(pairs):
@@ -636,9 +496,27 @@ class CompiledAutoBackend:
                 comp_idx.append(i)
             else:
                 fft_idx.append(i)
+        return comp_idx, fft_idx
+
+    # -- the ConvolutionBackend protocol ------------------------------
+    def convolve_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.chooses(a.size, b.size) == "fft":
+            return self._fft.convolve_masses(a, b)
+        p = self._provider()
+        return np.convolve(a, b) if p is None else p.conv_one(a, b)
+
+    def convolve_many(self, pairs: Sequence) -> list:
+        pairs = list(pairs)
+        if not pairs:
+            return []
+        out: list = [None] * len(pairs)
+        comp_idx, fft_idx = self._split(pairs)
         if comp_idx:
-            batched = self._compiled.convolve_many(
-                [pairs[i] for i in comp_idx]
+            comp = [pairs[i] for i in comp_idx]
+            p = self._provider()
+            batched = (
+                [np.convolve(a, b) for a, b in comp]
+                if p is None else p.conv_many(comp)
             )
             for i, res in zip(comp_idx, batched):
                 out[i] = res
@@ -651,32 +529,29 @@ class CompiledAutoBackend:
     # -- fused construction: always the compiled trim -----------------
     @property
     def fused_trim_active(self) -> bool:
-        return self._compiled.fused_trim_active
+        """True when results can be *built* in compiled code.  False
+        sends every caller to the stock NumPy construction."""
+        return self._provider() is not None
 
     def convolve_trimmed(self, a, b, dt, offset, trim_eps):
+        """Fused miss path: ``(raw, DiscretePDF)`` in one call."""
         if self.chooses(a.size, b.size) == "compiled":
-            return self._compiled.convolve_trimmed(
-                a, b, dt, offset, trim_eps
-            )
+            return self._provider().conv_trim_one(a, b, dt, offset, trim_eps)
         raw = self._fft.convolve_masses(a, b)
-        return raw, self._compiled.rebuild_trimmed(dt, offset, raw, trim_eps)
+        return raw, self.rebuild_trimmed(dt, offset, raw, trim_eps)
 
     def convolve_many_trimmed(self, pairs, dts, offsets, trim_eps,
                               want_raws: bool):
+        """Batched fused miss path; raws come back only when the caller
+        needs them (cache stores), results always."""
         pairs = list(pairs)
         if not pairs:
             return ([] if want_raws else None), []
-        comp_idx: list = []
-        fft_idx: list = []
-        for i, (a, b) in enumerate(pairs):
-            if self.chooses(a.size, b.size) == "compiled":
-                comp_idx.append(i)
-            else:
-                fft_idx.append(i)
+        comp_idx, fft_idx = self._split(pairs)
         raws: list = [None] * len(pairs)
         results: list = [None] * len(pairs)
         if comp_idx:
-            c_raws, c_res = self._compiled.convolve_many_trimmed(
+            c_raws, c_res = self._provider().conv_trim_many(
                 [pairs[i] for i in comp_idx],
                 [dts[i] for i in comp_idx],
                 [offsets[i] for i in comp_idx],
@@ -689,7 +564,7 @@ class CompiledAutoBackend:
                     raws[i] = c_raws[j]
         if fft_idx:
             f_raws = self._fft.convolve_many([pairs[i] for i in fft_idx])
-            f_res = self._compiled.trim_raws(
+            f_res = self.trim_raws(
                 f_raws,
                 [dts[i] for i in fft_idx],
                 [offsets[i] for i in fft_idx],
@@ -702,29 +577,32 @@ class CompiledAutoBackend:
         return (raws if want_raws else None), results
 
     def trim_raws(self, raws, dts, offsets, trim_eps) -> list:
-        return self._compiled.trim_raws(raws, dts, offsets, trim_eps)
+        """Compiled construction of results from precomputed raws —
+        bitwise the fused path's results for the same raw bits."""
+        return self._provider().trim_many(raws, dts, offsets, trim_eps)[1]
 
     def rebuild_trimmed(self, dt, offset, raw, trim_eps):
-        return self._compiled.rebuild_trimmed(dt, offset, raw, trim_eps)
+        """Cache-replay construction (translated anchors): same
+        compiled trim as a fresh compute, so replayed and computed
+        entries carry identical bits."""
+        return self._provider().trim_one(dt, offset, raw, trim_eps)
 
-    # -- grouped MAX / lifecycle: the compiled backend's --------------
+    # -- grouped MAX --------------------------------------------------
     @property
     def max_sweep_active(self) -> bool:
-        return self._compiled.max_sweep_active
+        """True when the compiled sweep passed its bitwise self-check;
+        False falls back to the NumPy sweep (identical bits either
+        way — that is the precondition, not a tolerance)."""
+        p = self._provider()
+        return p is not None and p.max_ok
 
     def grouped_max_raws(self, groups) -> list:
-        return self._compiled.grouped_max_raws(groups)
-
-    def warm_up(self):
-        return self._compiled.warm_up()
+        """``(lo, masses)`` per group, bitwise ``_max_masses``."""
+        return self._provider().max_sweep(groups)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledAutoBackend(cost_ratio={self.cost_ratio:g})"
 
-
-#: Shared compiled singleton — compiled-auto routes its direct-side
-#: calls (and all construction) through the same instance.
-_COMPILED = CompiledBackend()
 
 #: Shared singletons — resolution never allocates, and "auto" routes
 #: its FFT-path calls through the same memo as "fft".
@@ -732,7 +610,6 @@ _REGISTRY = {
     "direct": _DIRECT,
     "fft": _FFT,
     "auto": AutoBackend(),
-    "compiled": _COMPILED,
     "compiled-auto": CompiledAutoBackend(),
 }
 
@@ -753,11 +630,10 @@ def available_backends() -> tuple:
 def is_registry_backend(kernel) -> bool:
     """True when ``kernel`` is one of the registry singletons — the
     only case where its *name* uniquely identifies the implementation
-    in another process or a later run.  Both the parallel executor
-    (shipping kernels to workers by name) and the cache snapshots
-    (persisting entries under a backend name) gate on this: a custom
-    instance aliasing a registry name must never be resolved by name
-    into the registry kernel's bits."""
+    in a later run.  The cache snapshots (persisting entries under a
+    backend name) gate on this: a custom instance aliasing a registry
+    name must never be resolved by name into the registry kernel's
+    bits."""
     name = getattr(kernel, "name", None)
     if not isinstance(name, str):
         return False

@@ -579,14 +579,13 @@ class ConvolutionCache:
     # Keys are content fingerprints (SHA-1 of mass bytes) plus grid,
     # epsilon, offset, and backend-*name* components — nothing
     # process-specific — so entries are valid in any process that
-    # resolves the same registry kernels.  Snapshots ride the same
-    # memo-stripped serialization the parallel IPC layer uses
-    # (``DiscretePDF.__getstate__``): an entry is its key, its raw
-    # kernel output, its finished result, its anchor, and its backend
-    # name.  Only registry-kernel entries are saved — a non-registry
-    # backend instance cannot be identified by name alone, and writing
-    # it under its name could alias a different implementation's
-    # entries on load.
+    # resolves the same registry kernels.  Snapshots pickle results
+    # memo-stripped (``DiscretePDF.__getstate__``): an entry is its
+    # key, its raw kernel output, its finished result, its anchor, and
+    # its backend name.  Only registry-kernel entries are saved — a
+    # non-registry backend instance cannot be identified by name
+    # alone, and writing it under its name could alias a different
+    # implementation's entries on load.
 
     #: Snapshot format version (bump on any layout change).
     SNAPSHOT_FORMAT: int = 1
@@ -690,11 +689,13 @@ class ConvolutionCache:
         ``capacity`` overrides the recorded bound (the oldest entries
         are dropped if the snapshot exceeds it).  Backend names are
         resolved against the current registry, so hits served from
-        loaded entries pass the same identity check fresh entries do.
+        loaded entries pass the same identity check fresh entries do;
+        entries under a name the registry no longer has are dropped
+        (their keys carry that name, so they could never hit).
         Snapshots are trusted input (they are pickles): load only
         files you wrote.
         """
-        from .backends import get_backend
+        from .backends import available_backends, get_backend
 
         try:
             with open(path, "rb") as fh:
@@ -722,7 +723,10 @@ class ConvolutionCache:
             cache = cls(
                 capacity if capacity is not None else payload["capacity"]
             )
+            known = available_backends()
             for key, raw, result, anchor, name in payload["entries"]:
+                if name is not None and name not in known:
+                    continue
                 if raw is not None:
                     raw.flags.writeable = False
                 backend = None if name is None else get_backend(name)

@@ -20,8 +20,8 @@ Where the gap runs: whenever the compiled provider
 the self-check, :func:`max_percentile_gap` calls that one-pass C
 kernel — under every analysis backend, the default ``auto`` included,
 and resolving the provider lazily on the first gap.  Otherwise (kill
-switch ``REPRO_DISABLE_COMPILED``, no C compiler, the numba provider,
-a failed gap self-check) it runs the NumPy body, which is also the
+switch ``REPRO_DISABLE_COMPILED``, no C compiler, a failed gap
+self-check) it runs the NumPy body, which is also the
 reference.  The contract is exact: the compiled result is the same
 float as the NumPy body's (``==``), with the same ``float.hex`` unless
 it is a zero — ``np.max`` chooses between +0 and -0 by order.  The

@@ -64,7 +64,7 @@ from ..core.heuristic_sizer import HeuristicStatisticalSizer
 from ..core.pruned_sizer import PrunedStatisticalSizer
 from ..dist.cache import DEFAULT_CACHE_CAPACITY, ConvolutionCache
 from ..dist.ops import OpCounter
-from ..errors import OptimizationError, ServiceError
+from ..errors import DistributionError, OptimizationError, ServiceError
 from ..netlist.benchmarks import PAPER_SUITE, load
 from ..timing.delay_model import DelayModel
 from ..timing.graph import TimingGraph
@@ -254,7 +254,8 @@ class ServiceState:
             merged.update(overrides)
         try:
             config = self.base_config.with_updates(**merged)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, DistributionError) as exc:
+            # DistributionError: an unknown backend name.
             raise ServiceError(f"bad config override: {exc}") from exc
         return config.with_updates(cache=self.cache)
 

@@ -22,12 +22,18 @@ from repro.netlist.circuit import Circuit
 #: Coarse grid for fast unit tests.
 FAST = AnalysisConfig(dt=8.0, delta_w=1.0)
 
+from repro.dist import _compiled
 from repro.dist.backends import available_backends
 
 #: Every selectable convolution backend, straight from the registry so
 #: a newly added backend is parametrized into the cross-backend suites
 #: automatically.
 ALL_BACKENDS = available_backends()
+
+#: Extra leg of the ``backend`` fixture: ``compiled-auto`` with the C
+#: provider switched off by the kill switch, so the degraded (pure-NumPy)
+#: tier must meet every cross-backend contract the native one does.
+DEGRADED_COMPILED = "compiled-auto-degraded"
 
 
 @pytest.fixture
@@ -36,10 +42,19 @@ def fast_config():
     return FAST
 
 
-@pytest.fixture(params=ALL_BACKENDS)
-def backend(request):
-    """Parametrizes a test over every convolution backend."""
-    return request.param
+@pytest.fixture(params=ALL_BACKENDS + (DEGRADED_COMPILED,))
+def backend(request, monkeypatch):
+    """Parametrizes a test over every convolution backend, plus
+    ``compiled-auto`` run degraded (:data:`DEGRADED_COMPILED`)."""
+    if request.param != DEGRADED_COMPILED:
+        return request.param
+    monkeypatch.setenv(_compiled.DISABLE_ENV, "1")
+    _compiled.reset_provider_cache()
+    # Runs before monkeypatch restores the environment, so the next
+    # test re-resolves the native provider.
+    request.addfinalizer(_compiled.reset_provider_cache)
+    assert _compiled.get_provider() is None
+    return "compiled-auto"
 
 
 @pytest.fixture

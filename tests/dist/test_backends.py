@@ -202,9 +202,9 @@ class TestAutoBackend:
 
 class TestBackendRegistry:
     def test_available_backends(self):
-        assert set(available_backends()) == {
-            "direct", "fft", "auto", "compiled", "compiled-auto"
-        }
+        assert available_backends() == (
+            "direct", "fft", "auto", "compiled-auto"
+        )
 
     def test_get_backend_by_name(self):
         for name in ALL_BACKENDS:

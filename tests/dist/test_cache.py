@@ -792,6 +792,38 @@ class TestSnapshotPersistence:
         with pytest.raises(DistributionError, match="corrupt"):
             ConvolutionCache.load(path)
 
+    def test_retired_backend_entries_dropped_on_load(self, tmp_path):
+        """A format-1 snapshot holding an entry under the retired
+        ``compiled`` backend loads without it (its key carries that
+        name, so it could never hit), and a service boots from it."""
+        import pickle
+
+        from repro.service.state import ServiceState
+
+        a = truncated_gaussian_pdf(2.0, 500.0, 40.0)
+        b = truncated_gaussian_pdf(2.0, 520.0, 40.0)
+        cache = ConvolutionCache()
+        ref = convolve(a, b, trim_eps=1e-9, backend="direct", cache=cache)
+        (key, entry), = cache._entries.items()  # noqa: SLF001
+        retired = key[:3] + ("compiled",) + key[4:]
+        path = tmp_path / "old.cache"
+        path.write_bytes(pickle.dumps({
+            "format": 1,
+            "capacity": 64,
+            "entries": [
+                (retired, entry.raw, entry.result, entry.anchor, "compiled"),
+                (key, entry.raw, entry.result, entry.anchor, "direct"),
+            ],
+        }))
+        loaded = ConvolutionCache.load(path)
+        assert len(loaded) == 1
+        hit = convolve(a, b, trim_eps=1e-9, backend="direct", cache=loaded)
+        assert loaded.stats.hits == 1
+        assert np.array_equal(hit.masses, ref.masses)
+        state = ServiceState(cache_file=path)
+        assert state.loaded_entries == 1
+        assert state.analyze("c17")["sta_delay"] > 0.0
+
     def test_gap_entries_roundtrip(self, tmp_path):
         cache = ConvolutionCache()
         a = truncated_gaussian_pdf(2.0, 500.0, 40.0)

@@ -112,6 +112,10 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="unknown circuit"):
             client.analyze("c9999")
 
+    def test_unknown_backend_override_400(self, client):
+        with pytest.raises(ServiceError, match=r"\(400\).*'compiled'"):
+            client.analyze("c17", config={"backend": "compiled"})
+
     def test_missing_circuit_400(self, client):
         with pytest.raises(ServiceError, match="required"):
             client._request("POST", "/analyze", {})

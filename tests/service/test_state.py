@@ -74,6 +74,15 @@ class TestSessions:
         with pytest.raises(ServiceError, match="bad config override"):
             state.open_session({"dt": -1.0})
 
+    @pytest.mark.parametrize("name", ["compiled", "compiled-fast"])
+    def test_unknown_backend_override_rejected(self, state, name):
+        """An unknown (or retired) backend name is a bad override —
+        a ServiceError, which the server answers with a 400."""
+        with pytest.raises(ServiceError, match="bad config override"):
+            state.analyze("c17", config_overrides={"backend": name})
+        with pytest.raises(ServiceError, match="compiled-auto"):
+            state.open_session({"backend": name})
+
     def test_non_finite_override_rejected(self, state):
         """JSON bodies may carry NaN/Infinity; a non-finite grid must
         fail validation (a 400), never mid-analysis (a 500)."""

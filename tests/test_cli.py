@@ -22,6 +22,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "c9999"])
 
+    @pytest.mark.parametrize("name", ["compiled", "compiled-fast"])
+    def test_unknown_backend_exits_2(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "c17", "--backend", name])
+        assert exc.value.code == 2
+        assert "compiled-auto" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_analyze_c17(self, capsys):

@@ -27,6 +27,7 @@ import pytest
 from repro.core.objectives import default_objective
 from repro.core.perturbation import PerturbationFront
 from repro.core.sensitivity import perturbed_sink_pdf, statistical_sensitivity
+from repro.dist._compiled import provider_kind
 from repro.dist.cache import ConvolutionCache
 from repro.dist.ops import OpCounter
 from repro.netlist.benchmarks import load
@@ -43,8 +44,9 @@ CACHES = (None, 4096)
 #: Small enough to evict continuously on every golden circuit but c17.
 TINY_CACHE = 32
 
-#: Cache-off level-batched forward runs, one per (circuit, backend) —
-#: read-only references the differentials compare against.
+#: Cache-off level-batched forward runs, one per (circuit, backend,
+#: compiled provider) — read-only references the differentials compare
+#: against.
 _REFS: dict = {}
 
 
@@ -62,7 +64,8 @@ def _forward(circuit_name, cfg):
 
 
 def _reference(circuit_name, backend_config):
-    key = (circuit_name, backend_config.backend)
+    # The provider kind separates native from degraded compiled-auto.
+    key = (circuit_name, backend_config.backend, provider_kind())
     if key not in _REFS:
         _REFS[key] = _forward(
             circuit_name, backend_config.with_updates(cache=None)
