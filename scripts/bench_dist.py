@@ -8,7 +8,8 @@ at sub-crossover sizes — raw batch convolution and the fused miss-path
 kernel, plus the re-measured compiled-vs-FFT crossover (the
 ``kernels.compiled`` section), the Theorem-4 percentile gap in NumPy
 against the compiled provider at 17/153/1025 bins (the ``kernels.gap``
-section), stat_max
+section), the MAX batches of one pruned c432 iteration through the
+NumPy sweep against the C sweep (the ``kernels.max`` section), stat_max
 and stat_max_many throughput against bin count, locates the measured
 direct-vs-FFT equal-size crossover, times a full
 ``run_ssta`` pass on c432 per backend, runs the c432 sizers end-to-end cache-on vs
@@ -42,6 +43,9 @@ violation):
 * the compiled percentile gap equals the NumPy gap on every
   (base, perturbed) pair one pruned c432 sizing iteration evaluates
   (skipped, never failed, when no provider serves the gap);
+* the C MAX sweep equals the NumPy sweep, bit for bit, on every MAX
+  group of the same iteration (skipped, never failed, when no
+  provider serves the sweep);
 * cache-on vs cache-off sink percentiles are **exactly** equal per
   backend (the cache's bitwise promise, probed end to end);
 * level-batched vs sequential sink distributions are **bitwise
@@ -125,6 +129,9 @@ COMPILED_SINK_TV = 1e-12
 #: mean support of the pruned c432 sizer's gap pairs (~153 bins), and
 #: a wide tail.
 GAP_BIN_COUNTS = (17, 153, 1025)
+#: Batch-size buckets (groups per MAX batch, inclusive) of the
+#: ``kernels.max`` rows.
+MAX_BATCH_BUCKETS = ((1, 1), (2, 4), (5, 16), (17, None))
 
 
 def _gaussian_with_bins(n_bins: int, center: float = 1000.0):
@@ -408,16 +415,129 @@ def _bench_gap() -> dict:
     return out
 
 
+_C432_RECORD: dict = {}
+
+
+def _pruned_c432_record() -> dict:
+    """The operands one pruned c432 iteration (default config) hands
+    to its Theorem-4 gaps (``"gaps"``: (base, perturbed) pairs) and to
+    its MAX batches (``"max"``: one list of operand groups per batch),
+    recorded once per run for gates (g) and (h) and the
+    ``kernels.max`` rows."""
+    if _C432_RECORD:
+        return _C432_RECORD
+    from repro.core import perturbation
+    from repro.core.pruned_sizer import PrunedStatisticalSizer
+    from repro.exec import executor
+    from repro.netlist.benchmarks import load
+
+    gaps, batches = [], []
+    gap_fn, max_fn = perturbation.max_percentile_gap, executor.max_batch_raws
+
+    def record_gap(a, b):
+        gaps.append((a, b))
+        return gap_fn(a, b)
+
+    def record_max(groups):
+        batches.append([tuple(g) for g in groups])
+        return max_fn(groups)
+
+    perturbation.max_percentile_gap = record_gap
+    executor.max_batch_raws = record_max
+    try:
+        PrunedStatisticalSizer(load("c432"), max_iterations=1).run()
+    finally:
+        perturbation.max_percentile_gap = gap_fn
+        executor.max_batch_raws = max_fn
+    _C432_RECORD.update(gaps=gaps, max=batches)
+    return _C432_RECORD
+
+
+def _bench_max() -> dict:
+    """The grouped MAX — the ``kernels.max`` section: µs per batch for
+    the MAX batches one pruned c432 iteration dispatches, the NumPy
+    sweep (``ops._numpy_max_batch_raws``) against the provider's C
+    sweep, bucketed by groups per batch, plus an ``all`` row.  Rows
+    carry no compiled column on a degraded host or when the sweep
+    failed its self-check."""
+    from repro.dist import _compiled
+    from repro.dist.ops import _numpy_max_batch_raws
+
+    provider = _compiled.get_provider()
+    active = provider is not None and provider.max_ok
+    batches = _pruned_c432_record()["max"]
+    out = {"provider": _compiled.provider_kind(), "compiled_active": active,
+           "circuit": "c432", "batches": len(batches),
+           "groups": sum(len(b) for b in batches)}
+    rows = []
+    buckets = [
+        (f"{lo}" if hi == lo else f"{lo}-{hi or ''}",
+         [b for b in batches if lo <= len(b) and (hi is None or len(b) <= hi)])
+        for lo, hi in MAX_BATCH_BUCKETS
+    ] + [("all", batches)]
+    for label, sel in buckets:
+        if not sel:
+            continue
+
+        def sweep(fn, sel=sel):
+            for groups in sel:
+                fn(groups)
+
+        row = {"groups_per_batch": label, "batches": len(sel),
+               "mean_groups": round(sum(map(len, sel)) / len(sel), 2)}
+        t = _time_op(lambda: sweep(_numpy_max_batch_raws), min_repeats=3)
+        row["numpy_us"] = round(t / len(sel) * 1e6, 3)
+        if active:
+            t = _time_op(lambda: sweep(provider.max_sweep), min_repeats=3)
+            row["compiled_us"] = round(t / len(sel) * 1e6, 3)
+            row["speedup"] = round(row["numpy_us"] / row["compiled_us"], 3)
+        rows.append(row)
+        comp = (
+            f"compiled={row['compiled_us']:8.2f} us ({row['speedup']:.1f}x)"
+            if active else "compiled=  inactive"
+        )
+        print(f"max batch groups={label:>5s} ({len(sel):4d} batches)  "
+              f"numpy={row['numpy_us']:8.2f} us  {comp}")
+    out["rows"] = rows
+    return out
+
+
+def _max_drift() -> dict:
+    """Gate (h): the C MAX sweep equals the NumPy sweep bit for bit —
+    same anchor, same mass vector — on every MAX group one pruned c432
+    iteration dispatches.  Skipped, never failed, when no provider
+    serves the sweep."""
+    from repro.dist import _compiled
+    from repro.dist.ops import _numpy_max_batch_raws
+
+    provider = _compiled.get_provider()
+    if provider is None or not provider.max_ok:
+        reason = (
+            _compiled.fail_reason() if provider is None
+            else "max sweep self-check failed"
+        )
+        print(f"drift compiled max gate skipped: {reason}")
+        return {"compiled_max_gate": "skipped", "reason": reason}
+    groups = mismatches = 0
+    for batch in _pruned_c432_record()["max"]:
+        for (lo_c, m_c), (lo_n, m_n) in zip(
+            provider.max_sweep(batch), _numpy_max_batch_raws(batch)
+        ):
+            groups += 1
+            mismatches += lo_c != lo_n or not np.array_equal(m_c, m_n)
+    print(f"drift compiled max c432 pruned iteration: {groups} groups, "
+          f"{mismatches} mismatches")
+    return {"circuit": "c432", "max_groups": groups,
+            "max_mismatches": mismatches}
+
+
 def _gap_drift() -> dict:
     """Gate (g): the compiled gap equals the NumPy gap (``==``; signed
     zeros may differ) on every (base, perturbed) pair one pruned c432
     iteration evaluates.  Skipped, never failed, when no provider
     serves the gap."""
-    from repro.core import perturbation
-    from repro.core.pruned_sizer import PrunedStatisticalSizer
     from repro.dist import _compiled
     from repro.dist.metrics import _VERTICAL_NOISE_FLOOR, _numpy_gap
-    from repro.netlist.benchmarks import load
 
     provider = _compiled.get_provider()
     if provider is None or not provider.gap_ok:
@@ -427,18 +547,7 @@ def _gap_drift() -> dict:
         )
         print(f"drift compiled gap gate skipped: {reason}")
         return {"compiled_gap_gate": "skipped", "reason": reason}
-    pairs = []
-    original = perturbation.max_percentile_gap
-
-    def recording(a, b):
-        pairs.append((a, b))
-        return original(a, b)
-
-    perturbation.max_percentile_gap = recording
-    try:
-        PrunedStatisticalSizer(load("c432"), max_iterations=1).run()
-    finally:
-        perturbation.max_percentile_gap = original
+    pairs = _pruned_c432_record()["gaps"]
     mismatches = sum(
         not provider.gap(a, b, _VERTICAL_NOISE_FLOOR) == _numpy_gap(a, b)
         for a, b in pairs
@@ -1305,6 +1414,10 @@ def _check_drift(bin_counts, min_hit_rate: float, compiled=None) -> list:
     # No recorded pairs would make the gate vacuous: fail that too.
     if gap.get("gap_mismatches") or gap.get("gap_pairs") == 0:
         failures.append(("compiled-gap-c432", gap["gap_mismatches"]))
+    mx = _max_drift()
+    report.append(mx)
+    if mx.get("max_mismatches") or mx.get("max_groups") == 0:
+        failures.append(("compiled-max-c432", mx["max_mismatches"]))
 
     # Cache-on vs cache-off: bitwise, per backend — zero drift allowed.
     for backend in available_backends():
@@ -1410,7 +1523,8 @@ def run(
         "measured_crossover_bins": crossover,
         "rows": rows,
         "batched_vs_looped": batched,
-        "kernels": {"compiled": compiled, "gap": _bench_gap()},
+        "kernels": {"compiled": compiled, "gap": _bench_gap(),
+                    "max": _bench_max()},
         "levels": levels,
         "service": _bench_service(quick),
     }
@@ -1439,6 +1553,8 @@ def main(argv=None) -> int:
                              "smallest sizes (provider permitting), "
                              "a compiled gap unequal to the NumPy gap "
                              "on a pruned c432 iteration's pairs, "
+                             "a C MAX sweep not bitwise the NumPy "
+                             "sweep on that iteration's MAX groups, "
                              "a quick-sizer cache hit rate below "
                              "--min-hit-rate, or a superlinear scale "
                              "ladder")

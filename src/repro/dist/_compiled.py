@@ -1,12 +1,16 @@
-"""The compiled kernel provider behind the ``compiled-auto`` backend.
+"""The compiled kernel provider: the ``compiled-auto`` backend's
+convolutions, and the MAX sweep and Theorem-4 gap of every backend.
 
-:class:`~repro.dist.backends.CompiledAutoBackend` delegates its inner
-loops to the provider resolved here: a tiny C library compiled on first
-use with the system C compiler and loaded through cffi.  When it cannot
-be stood up — no C compiler, no cffi, or a failed self-check —
-``get_provider()`` returns ``None`` and the backend degrades to the
-pure-NumPy numerics with a single warning, so selecting
-``compiled-auto`` is always safe.
+:class:`~repro.dist.backends.CompiledAutoBackend` delegates its
+convolve/trim inner loops to the provider resolved here: a tiny C
+library compiled on first use with the system C compiler and loaded
+through cffi.  The two bitwise kernels — the MAX sweep and the
+percentile gap — serve every backend, ``auto`` included, resolving the
+provider lazily at the first MAX or gap.  When the provider cannot be
+stood up — no C compiler, no cffi, or a failed self-check —
+``get_provider()`` returns ``None``: the MAX and the gap run their
+NumPy bodies, and ``compiled-auto`` degrades to ``auto``'s pure-NumPy
+numerics with a single warning, so selecting it is always safe.
 
 Four kernel families are provided.  The first three operate on packed
 flat buffers (operands concatenated, ``int64`` offset/length arrays)
@@ -20,12 +24,15 @@ so a whole level batch costs one foreign call:
   dispatch (sum, divide, cumsum, searchsorted) per pair, the fused
   path pays one compiled call per batch.
 * **max sweep** — the padded-CDF product + adjacent difference of the
-  grouped statistical MAX.  Unlike the convolve/trim family this one
-  must be **bitwise identical** to the NumPy sweep (MAX cache keys
-  carry no backend component), which it is by construction: the same
-  multiplications and subtractions in the same order, with
-  ``-ffp-contract=off`` pinning the C build.  A self-check verifies it
-  and disables the sweep (never the provider) on any mismatch.
+  grouped statistical MAX, one call per batch of groups.
+  :func:`repro.dist.ops.max_batch_raws` runs it under *every* backend,
+  so unlike the convolve/trim family it must be **bitwise identical**
+  to the NumPy sweep (``ops._max_masses``, the reference and
+  fallback; MAX cache keys carry no backend component either).  It is
+  by construction: the same multiplications and subtractions in the
+  same order, with ``-ffp-contract=off`` pinning the C build.  A
+  self-check verifies it and sets only ``max_ok = False`` on any
+  mismatch.
 * **percentile gap** — the Theorem-4 bound ``max_percentile_gap(a, b)``
   of :mod:`repro.dist.metrics`, one pair per call: both knot sets are
   built on the fly (sequential cumsum, clip at 1, last knot pinned)
@@ -52,6 +59,7 @@ library is built (default ``~/.cache/repro/compiled``).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -76,8 +84,8 @@ __all__ = [
 ]
 
 #: Kill switch: set to a non-empty value (other than ``0``) to disable
-#: the compiled tier entirely; the compiled backends then run the
-#: pure-NumPy direct numerics.
+#: the compiled tier entirely; every kernel then runs its pure-NumPy
+#: body (``compiled-auto`` runs as ``auto``).
 DISABLE_ENV = "REPRO_DISABLE_COMPILED"
 
 #: Where the C provider caches its compiled shared library.
@@ -708,39 +716,56 @@ class _CProvider:
     # -- grouped MAX sweep --------------------------------------------
     def max_sweep(self, groups: Sequence) -> list:
         """``(lo, masses)`` per operand group — bitwise the NumPy
-        ``_max_masses`` sweep (same multiplies, same order)."""
-        ptr = self._ptr
+        ``_max_masses`` sweep (same multiplies, same order).
+
+        Every MAX of every backend lands here, most batches holding a
+        handful of groups, so the packing is kept to a few array
+        builds: the per-row and per-group ``int64`` tables share one
+        buffer (one ``from_buffer``, the rest pointer arithmetic)."""
+        if not groups:
+            return []
         cdfs = []
+        row_off = [0]
         rstart = []
-        grow0 = np.empty(len(groups), dtype=np.int64)
-        gk = np.empty(len(groups), dtype=np.int64)
-        gwidth = np.empty(len(groups), dtype=np.int64)
-        gooff = np.zeros(len(groups) + 1, dtype=np.int64)
+        g_row0 = []
+        g_k = []
+        g_width = []
+        g_out = [0]
         los = []
-        for g, pdfs in enumerate(groups):
+        for pdfs in groups:
             lo = min(p.offset for p in pdfs)
             width = max(p.offset + p.masses.size for p in pdfs) - lo
             los.append(lo)
-            grow0[g] = len(cdfs)
-            gk[g] = len(pdfs)
-            gwidth[g] = width
-            gooff[g + 1] = gooff[g] + width
+            g_row0.append(len(cdfs))
+            g_k.append(len(pdfs))
+            g_width.append(width)
+            g_out.append(g_out[-1] + width)
             for p in pdfs:
-                cdfs.append(p._unit_cdf)  # noqa: SLF001
+                cdf = p._unit_cdf  # noqa: SLF001
+                cdfs.append(cdf)
+                row_off.append(row_off[-1] + cdf.size)
                 rstart.append(p.offset - lo)
-        CDF, cdfoff, cdflen = _pack(cdfs)
-        rstart_arr = np.asarray(rstart, dtype=np.int64)
-        OUT = np.empty(int(gooff[-1]))
+        row_len = [b - a for a, b in zip(row_off, row_off[1:])]
+        # The seven tables in repro_max_sweep's argument order.
+        tables = (row_off, row_len, rstart, g_row0, g_k, g_width, g_out)
+        meta = self._ptr(np.fromiter(
+            itertools.chain.from_iterable(tables), dtype=np.int64
+        ))
+        starts = itertools.accumulate(
+            (len(t) for t in tables[:-1]), initial=0
+        )
+        n = len(groups)
+        out = np.empty(g_out[-1])
         rc = self._lib.repro_max_sweep(
-            ptr(CDF), ptr(cdfoff), ptr(cdflen), ptr(rstart_arr),
-            ptr(grow0), ptr(gk), ptr(gwidth), ptr(gooff), ptr(OUT),
-            len(groups),
+            self._ptr(np.concatenate(cdfs)), *(meta + i for i in starts),
+            self._ptr(out), n,
         )
         if rc != 0:  # pragma: no cover - sweep cannot fail
             raise DistributionError("compiled max sweep failed")
+        if n == 1:
+            return [(los[0], out)]
         return [
-            (los[g], OUT[gooff[g]:gooff[g + 1]].copy())
-            for g in range(len(groups))
+            (los[g], out[g_out[g]:g_out[g + 1]].copy()) for g in range(n)
         ]
 
     # -- Theorem-4 percentile gap -------------------------------------
@@ -960,8 +985,9 @@ def warn_degraded_once() -> None:
     _warned = True
     warnings.warn(
         "compiled kernel tier unavailable "
-        f"({fail_reason() or 'unknown reason'}); 'compiled-auto' falls "
-        "back to the pure-NumPy direct kernel below its FFT crossover",
+        f"({fail_reason() or 'unknown reason'}); 'compiled-auto' runs "
+        "as 'auto' (the pure-NumPy direct kernel below the FFT "
+        "crossover)",
         RuntimeWarning,
         stacklevel=3,
     )

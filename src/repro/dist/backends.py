@@ -41,10 +41,14 @@ above (with one warning) when it cannot:
   same FFT backend (``scripts/bench_dist.py`` records the measured
   compiled↔fft crossover next to the direct↔fft one).  Results are
   built by the fused compiled normalize-and-trim step whichever side
-  convolved, and the grouped-MAX CDF sweep runs compiled too.  Raw
-  convolutions sit in the same 1e-12-TV equivalence class as ``fft``
-  (sequential instead of pairwise reductions); the MAX sweep is
-  **bitwise** the NumPy sweep and is verified before use.
+  convolved.  Raw convolutions sit in the same 1e-12-TV equivalence
+  class as ``fft`` (sequential instead of pairwise reductions).
+  Degraded (no provider), it *is* ``auto``: the NumPy direct kernel
+  under ``auto``'s cost ratio, bit for bit.
+
+The MAX kernels are not a backend matter: their numerics are
+backend-invariant, and :mod:`repro.dist.ops` runs the provider's
+bitwise MAX sweep under every backend whenever it resolves.
 
 Backends are deterministic and carry no *semantic* state: the same
 operand pair always takes the same path and produces the same bits
@@ -63,6 +67,7 @@ import numpy as np
 
 from ..config import KNOWN_BACKENDS
 from ..errors import DistributionError
+from . import _compiled
 
 try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters.
     from typing import Protocol, runtime_checkable
@@ -444,9 +449,10 @@ class CompiledAutoBackend:
     :mod:`repro.dist._compiled` and the shared :class:`FFTBackend`
     singleton (same transform memo as explicit ``fft``) under a
     re-calibrated cost ratio.  With no provider (no C compiler, or
-    ``REPRO_DISABLE_COMPILED`` set) the compiled side runs
-    ``np.convolve`` after one warning: NumPy direct below the
-    crossover, FFT above.
+    ``REPRO_DISABLE_COMPILED`` set) it runs as ``auto`` after one
+    warning: ``np.convolve`` below :data:`AUTO_COST_RATIO`'s
+    crossover, FFT above — the re-calibrated ratio only pays for the
+    compiled kernel.
 
     Beyond the protocol it exposes the hooks the kernel layer probes
     with ``getattr``: ``convolve_trimmed`` / ``convolve_many_trimmed``
@@ -454,12 +460,10 @@ class CompiledAutoBackend:
     compiled call (the cache-miss fast path), ``trim_raws`` /
     ``rebuild_trimmed`` apply the same compiled construction to raws
     computed elsewhere (the FFT side, the executor's batch, cache
-    replays — keeping every path inside one arithmetic class), and
-    ``grouped_max_raws`` runs the bitwise-verified grouped-MAX sweep.
-    Callers gate the construction hooks on ``fused_trim_active`` and
-    the sweep on ``max_sweep_active``, so they never need to know
-    whether the provider resolved.  Resolution is lazy: importing this
-    module never compiles anything.
+    replays — keeping every path inside one arithmetic class).
+    Callers gate the construction hooks on ``fused_trim_active``, so
+    they never need to know whether the provider resolved.  Resolution
+    is lazy: importing this module never compiles anything.
     """
 
     name = "compiled-auto"
@@ -474,17 +478,21 @@ class CompiledAutoBackend:
 
     @staticmethod
     def _provider():
-        from . import _compiled
-
         p = _compiled.get_provider()
         if p is None:
             _compiled.warn_degraded_once()
         return p
 
     def chooses(self, n_a: int, n_b: int) -> str:
-        """``"compiled"`` or ``"fft"`` for this operand pair."""
+        """``"compiled"`` or ``"fft"`` for this operand pair.  Without
+        a provider the compiled side is ``np.convolve``, so the pair
+        is priced with ``auto``'s ratio."""
+        ratio = (
+            self.cost_ratio if self._provider() is not None
+            else AUTO_COST_RATIO
+        )
         n_out = n_a + n_b - 1
-        fft_cost = self.cost_ratio * n_out * np.log2(n_out + 1)
+        fft_cost = ratio * n_out * np.log2(n_out + 1)
         return "compiled" if n_a * n_b <= fft_cost else "fft"
 
     def _split(self, pairs) -> tuple:
@@ -586,19 +594,6 @@ class CompiledAutoBackend:
         compiled trim as a fresh compute, so replayed and computed
         entries carry identical bits."""
         return self._provider().trim_one(dt, offset, raw, trim_eps)
-
-    # -- grouped MAX --------------------------------------------------
-    @property
-    def max_sweep_active(self) -> bool:
-        """True when the compiled sweep passed its bitwise self-check;
-        False falls back to the NumPy sweep (identical bits either
-        way — that is the precondition, not a tolerance)."""
-        p = self._provider()
-        return p is not None and p.max_ok
-
-    def grouped_max_raws(self, groups) -> list:
-        """``(lo, masses)`` per group, bitwise ``_max_masses``."""
-        return self._provider().max_sweep(groups)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledAutoBackend(cost_ratio={self.cost_ratio:g})"

@@ -71,12 +71,14 @@ from .pdf import DiscretePDF
 
 __all__ = ["ConvolutionCache", "CacheStats", "DEFAULT_CACHE_CAPACITY"]
 
-#: Default entry bound.  A c432 sizing iteration's working set is
-#: ~25k entries (one per distinct kernel request across the base SSTA
-#: and every perturbation front), and an undersized cache *thrashes* —
-#: each iteration evicts what the next would have hit.  32k entries
-#: hold the paper suite's working sets with room to spare while
-#: bounding memory at tens of MiB of ~100-bin float64 vectors.
+#: Default entry bound.  Two pruned c432 sizing iterations at the
+#: default config fill 12,480 entries, ~21 MiB: 5,489 ADD, 3,600 node
+#: and 3,391 gap entries, and no MAX entries (behind the node memo a
+#: MAX runs uncached; only the backward pass and direct ``stat_max*``
+#: calls store them).  An undersized cache *thrashes* — each iteration
+#: evicts what the next would have hit.  32k entries hold the paper
+#: suite's working sets with room to spare while bounding memory at
+#: tens of MiB of ~100-bin float64 vectors.
 DEFAULT_CACHE_CAPACITY: int = 32768
 
 #: Process-wide fingerprint memo: ``id(masses) -> (weakref, digest)``.
@@ -496,7 +498,8 @@ class ConvolutionCache:
     # iterations) skip the whole convolve-batch + MAX pipeline for one
     # dict probe.  Keys use absolute offsets, so a hit returns the
     # exact stored object a fresh computation would reproduce bitwise;
-    # a translated recurrence simply misses into the per-op caches.
+    # a translated recurrence simply misses into the per-op ADD cache
+    # (the engines run a node-memo miss's MAX uncached).
 
     def lookup_node(self, key: tuple, backend) -> Optional[DiscretePDF]:
         """Memoized whole-node arrival for a key built by

@@ -25,6 +25,10 @@ direct kernel below the crossover.  The MAX kernels accept the same
 argument for call-site uniformity (engines thread one backend choice
 through every operation); the independence max is a CDF product, not a
 convolution, so its numerics are backend-invariant by construction.
+Whenever the compiled provider (:mod:`repro.dist._compiled`) resolves
+with its MAX sweep verified, every MAX runs that C sweep — under every
+backend — bitwise the NumPy sweep (:func:`_max_masses`), which stays
+as the reference and the fallback.
 
 Two orthogonal accelerations ride on top of that contract:
 
@@ -62,6 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import DistributionError, GridMismatchError
+from . import _compiled
 from .backends import BackendLike, get_backend
 from .cache import ConvolutionCache
 from .pdf import DiscretePDF
@@ -429,9 +434,8 @@ def _independence_max(
     backend: BackendLike,
     cache: Optional[ConvolutionCache] = None,
 ) -> DiscretePDF:
-    # Validate eagerly; the max numerics are backend-invariant, but a
-    # backend with a verified-bitwise compiled sweep may run them.
-    kernel = get_backend(backend)
+    # Validate eagerly; the max numerics are backend-invariant.
+    get_backend(backend)
     dt = _require_same_grid(pdfs)
     if cache is not None:
         hit = cache.lookup_max(pdfs, trim_eps)
@@ -439,13 +443,10 @@ def _independence_max(
             if counter is not None:
                 counter.max_cache_hits += len(pdfs) - 1
             return hit
-    if getattr(kernel, "max_sweep_active", False):
-        lo, masses = kernel.grouped_max_raws([pdfs])[0]
-    else:
-        lo, masses = _max_masses(pdfs)
+    lo, masses = max_batch_raws([pdfs])[0]
     if counter is not None:
         counter.max_ops += len(pdfs) - 1
-    result = DiscretePDF(dt, lo, masses).trimmed(trim_eps)
+    result = DiscretePDF._trusted(dt, lo, masses).trimmed(trim_eps)
     if cache is not None:
         cache.store_max(pdfs, trim_eps, masses, result)
     return result
@@ -502,7 +503,7 @@ def _grouped_max_masses(groups: list) -> list:
     return [(lo, masses[gi].copy()) for gi, (lo, _p, _w) in enumerate(groups)]
 
 
-def max_batch_raws(groups: Sequence, kernel=None) -> list:
+def max_batch_raws(groups: Sequence) -> list:
     """``(lo_offset, raw mass vector)`` of the independence MAX for
     every operand group — the MAX work unit of the execution
     layer.
@@ -510,21 +511,30 @@ def max_batch_raws(groups: Sequence, kernel=None) -> list:
     A pure function of the groups' operand contents and alignments: no
     cache, no counter, no trimming — exactly the compute step
     :func:`stat_max_groups` performs after cache resolution, factored
-    out so :class:`~repro.exec.SerialExecutor` can run it.  Groups are
-    partitioned by exact (operand count, union width); same-shape runs
-    stack into one CDF product, each group bitwise its own
-    :func:`_max_masses` call (the :data:`_GROUPED_MAX_BITWISE` guard).
-    Results come back in input order.
+    out so :class:`~repro.exec.SerialExecutor` can run it.  Results
+    come back in input order.
 
-    ``kernel`` (a resolved backend, optional) may take over the sweep:
-    a backend whose ``max_sweep_active`` property is true runs the
-    whole batch through its compiled grouped sweep — **bitwise** the
-    NumPy path (the property only goes true after the provider's
-    self-check proves it on this host), so the two implementations are
-    interchangeable per group and need no shape partition.
+    When the compiled provider resolves with ``max_ok`` (its sweep
+    passed the bitwise self-check), the whole batch is one C sweep,
+    under every backend.  Otherwise the NumPy path runs: groups are
+    partitioned by exact (operand count, union width) and same-shape
+    runs stack into one CDF product, each group bitwise its own
+    :func:`_max_masses` call (the :data:`_GROUPED_MAX_BITWISE` guard).
+    Both paths give the same bits.  Every returned mass vector is a
+    fresh array of non-negative differences of a non-decreasing CDF
+    product (rounding is monotone), which is what lets callers build
+    results through ``DiscretePDF._trusted``.
     """
-    if kernel is not None and getattr(kernel, "max_sweep_active", False):
-        return kernel.grouped_max_raws(groups)
+    provider = _compiled.get_provider()
+    if provider is not None and provider.max_ok:
+        return provider.max_sweep(groups)
+    return _numpy_max_batch_raws(groups)
+
+
+def _numpy_max_batch_raws(groups: Sequence) -> list:
+    """The NumPy body of :func:`max_batch_raws`: the reference the C
+    sweep is held to, and the fallback whenever no provider serves
+    it."""
     n = len(groups)
     out: list = [None] * n
     shapes: dict = {}
@@ -626,10 +636,8 @@ def stat_max_groups(
     """
     if not groups:
         return []
-    # Validate once; the max numerics are backend-invariant, but the
-    # kernel is threaded into the compute step so a verified-bitwise
-    # compiled sweep can run it.
-    kernel = get_backend(backend)
+    # Validate once; the max numerics are backend-invariant.
+    get_backend(backend)
     results: list = [None] * len(groups)
     todo: list = []
     keys: list = [None] * len(groups)
@@ -666,19 +674,19 @@ def stat_max_groups(
         # own _max_masses call, so commit order below stays sequential.
         todo_groups = [groups[i] for i in todo]
         if executor is not None:
-            computed = executor.run_max_batch(
-                todo_groups, counter=counter, kernel=kernel
-            )
+            computed = executor.run_max_batch(todo_groups, counter=counter)
         else:
             # Inline twin of SerialExecutor.run_max_batch (see
             # convolve_many for why the duplication is deliberate).
-            computed = max_batch_raws(todo_groups, kernel=kernel)
+            computed = max_batch_raws(todo_groups)
             if counter is not None:
                 counter.max_ops += sum(len(g) - 1 for g in todo_groups)
         for i, (lo, masses) in zip(todo, computed):
             # original order: store order matches sequential
             pdfs = groups[i]
-            result = DiscretePDF(pdfs[0].dt, lo, masses).trimmed(trim_eps)
+            result = DiscretePDF._trusted(pdfs[0].dt, lo, masses).trimmed(
+                trim_eps
+            )
             if cache is not None:
                 cache.store_max(pdfs, trim_eps, masses, result, key=keys[i])
             results[i] = result
@@ -688,10 +696,12 @@ def stat_max_groups(
         if hit is None:
             # Representative entry already evicted (tiny capacity):
             # recompute, as a sequential loop would at this point.
-            lo, masses = _max_masses(pdfs)
+            lo, masses = max_batch_raws([pdfs])[0]
             if counter is not None:
                 counter.max_ops += len(pdfs) - 1
-            hit = DiscretePDF(pdfs[0].dt, lo, masses).trimmed(trim_eps)
+            hit = DiscretePDF._trusted(pdfs[0].dt, lo, masses).trimmed(
+                trim_eps
+            )
             cache.store_max(pdfs, trim_eps, masses, hit, key=keys[i])
         elif counter is not None:
             counter.max_cache_hits += len(pdfs) - 1

@@ -50,15 +50,9 @@ class SerialExecutor:
         groups: Sequence,
         *,
         counter: Optional[OpCounter] = None,
-        kernel=None,
     ) -> list:
-        """``(lo_offset, raw masses)`` per operand group.
-
-        ``kernel`` (a resolved backend, optional) is forwarded to
-        :func:`~repro.dist.ops.max_batch_raws` so a backend with a
-        verified-bitwise compiled MAX sweep can run the product; the
-        numerics are backend-invariant either way."""
-        outs = max_batch_raws(groups, kernel=kernel)
+        """``(lo_offset, raw masses)`` per operand group."""
+        outs = max_batch_raws(groups)
         if counter is not None:
             counter.merge(
                 OpCounter(max_ops=sum(len(g) - 1 for g in groups))

@@ -131,13 +131,14 @@ def _merge_parts(
                           backend=kernel, cache=cache),
         ):
             contribs[i] = res
-    # The per-op MAX cache still gets a look after a node-memo miss:
-    # usually the changed fan-in means it misses too, but an evicted
-    # node entry (the kinds share one LRU) or a translated recurrence
-    # can still be served here, and hits are bitwise either way.
+    # A node-memo miss runs its MAX uncached: the changed fan-in that
+    # missed the node memo misses the per-op MAX tier too (0 hits in
+    # 9,245 probes over c17-c1908 SSTA and c432/c17 sizer runs), and
+    # probing it would fingerprint every fresh ADD result and pin its
+    # raw vector.  The caller always holds a node key here when it has
+    # a cache.
     result = stat_max_many(
         contribs, trim_eps=trim_eps, counter=counter, backend=kernel,
-        cache=cache,
     )
     if node_key is not None:
         cache.store_node(node_key, result, kernel)
@@ -211,7 +212,8 @@ def compute_level_arrivals(
        :func:`~repro.dist.ops.convolve_many` dispatch (cache hits are
        filtered out of the batch inside, misses inserted after);
     3. merges every node's contributions through **one**
-       :func:`~repro.dist.ops.stat_max_groups` sweep.
+       :func:`~repro.dist.ops.stat_max_groups` sweep — uncached when
+       the node memo is on, as :func:`compute_node_arrival` merges.
 
     The result is bitwise identical to looping
     :func:`compute_node_arrival` over the same parts lists in order —
@@ -225,7 +227,8 @@ def compute_level_arrivals(
 
     ``node_memo=False`` reproduces a caller that skips the whole-node
     memo (the backward pass does; its sequential reference never
-    consulted it).
+    consulted it).  Such a caller's MAX requests go through the per-op
+    MAX cache instead, as its sequential reference's do.
 
     ``executor`` (the engines pass
     :data:`~repro.exec.SERIAL_EXECUTOR`) runs the two raw kernel
@@ -284,14 +287,16 @@ def compute_level_arrivals(
         ):
             contribs_by_node[i][slot] = res
 
-    # One batched MAX sweep for the whole level.
+    # One batched MAX sweep for the whole level.  Behind the node memo
+    # the MAX runs uncached (see _merge_parts); only callers without
+    # it (the backward pass) use the per-op MAX tier.
     if todo:
         for i, res in zip(
             todo,
             stat_max_groups(
                 [contribs_by_node[i] for i in todo],
                 trim_eps=trim_eps, counter=counter, backend=kernel,
-                cache=cache, executor=executor,
+                cache=None if node_memo else cache, executor=executor,
             ),
         ):
             results[i] = res

@@ -465,6 +465,84 @@ class TestNodeMemoGuards:
             assert raw.size == 600 + 600 - 1
 
 
+class TestMaxTierBehindNodeMemo:
+    """Behind the whole-node memo a MAX runs uncached: the fan-in that
+    missed the node memo misses the per-op MAX tier too.  Only callers
+    without the node memo — the backward pass, direct ``stat_max*``
+    calls — store and hit MAX entries."""
+
+    @staticmethod
+    def _kinds(cache: ConvolutionCache) -> dict:
+        kinds: dict = {}
+        for key in cache._entries:
+            kinds[key[0]] = kinds.get(key[0], 0) + 1
+        return kinds
+
+    @pytest.mark.parametrize("level_batch", [True, False])
+    def test_ssta_and_pruned_run_store_no_max_entries(self, level_batch):
+        from repro.core import PrunedStatisticalSizer
+        from repro.netlist.benchmarks import load
+        from repro.timing import DelayModel, TimingGraph, run_ssta
+
+        cache = ConvolutionCache()
+        cfg = AnalysisConfig(cache=cache, level_batch=level_batch)
+        circuit = load("c432", scale=0.25)
+        counter = OpCounter()
+        run_ssta(
+            TimingGraph(circuit), DelayModel(circuit, config=cfg),
+            config=cfg, counter=counter,
+        )
+        kinds = self._kinds(cache)
+        assert kinds.get("node", 0) > 0 and counter.max_ops > 0
+        assert "max" not in kinds
+        PrunedStatisticalSizer(
+            circuit, config=cfg, max_iterations=2
+        ).run()
+        kinds = self._kinds(cache)
+        assert kinds.get("node", 0) > 0 and kinds.get("gap", 0) > 0
+        assert "max" not in kinds
+
+    def test_backward_pass_stores_and_hits_max_entries(self):
+        from repro.netlist.benchmarks import load
+        from repro.timing import DelayModel, TimingGraph
+        from repro.timing.criticality import run_backward_ssta
+
+        cache = ConvolutionCache()
+        cfg = AnalysisConfig(cache=cache)
+        circuit = load("c432", scale=0.25)
+        graph, model = TimingGraph(circuit), DelayModel(circuit, config=cfg)
+        cold, warm = OpCounter(), OpCounter()
+        first = run_backward_ssta(graph, model, config=cfg, counter=cold)
+        assert self._kinds(cache).get("max", 0) > 0
+        assert cold.max_ops > 0
+        again = run_backward_ssta(graph, model, config=cfg, counter=warm)
+        assert warm.max_ops == 0
+        assert warm.max_cache_hits == cold.max_ops + cold.max_cache_hits
+        for a, b in zip(first.to_sink, again.to_sink):
+            if a is not None:
+                assert_bitwise(a, b)
+
+    def test_stat_max_groups_stores_and_hits(self):
+        from repro.dist.ops import stat_max_groups
+
+        rng = np.random.default_rng(31)
+        groups = [
+            [DiscretePDF(2.0, int(rng.integers(0, 5)), rng.random(9))
+             for _ in range(3)]
+            for _ in range(4)
+        ]
+        cache = ConvolutionCache()
+        cold, warm = OpCounter(), OpCounter()
+        first = stat_max_groups(groups, trim_eps=1e-9, counter=cold,
+                                cache=cache)
+        assert self._kinds(cache) == {"max": 4}
+        again = stat_max_groups(groups, trim_eps=1e-9, counter=warm,
+                                cache=cache)
+        assert (cold.max_ops, warm.max_ops, warm.max_cache_hits) == (8, 0, 8)
+        for a, b in zip(first, again):
+            assert a is b
+
+
 class TestGapMemo:
     def test_roundtrip_and_absolute_offset_keying(self):
         from repro.dist.metrics import max_percentile_gap

@@ -136,14 +136,6 @@ class TestCompiledDifferentials:
                 d.percentile(q), abs=a.dt
             )
 
-    @settings(deadline=None, max_examples=30)
-    @given(a=pdfs(), b=pdfs())
-    def test_compiled_auto_matches_direct_within_tv(self, a, b):
-        d = convolve(a, b, backend="direct")
-        c = convolve(a, b, backend="compiled-auto")
-        assert c.offset == d.offset
-        assert _tv(c, d) < TV_TOL
-
     def test_scalar_equals_batched_bitwise(self):
         rng = np.random.default_rng(7)
         pairs = [
@@ -254,9 +246,87 @@ class TestFusedConstruction:
         assert cc.convolutions == cd.convolutions == len(pairs)
 
 
+@st.composite
+def max_groups(draw):
+    """Batches of MAX operand groups: k = 1..6 operands per group with
+    overlapping or disjoint supports and point masses mixed in, and
+    sometimes several groups of one (k, union width) shape — the
+    stacked NumPy path's unit."""
+    def operand(max_bins=24):
+        n = draw(st.integers(1, max_bins))
+        raw = draw(st.lists(
+            st.floats(0.0, 1.0, allow_nan=False), min_size=n, max_size=n
+        ))
+        raw[draw(st.integers(0, n - 1))] += 1e-3  # positive total
+        return n, raw
+
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 6))
+        kind = draw(st.sampled_from(["overlap", "disjoint", "points"]))
+        pdfs_ = []
+        offset = draw(st.integers(-20, 20))
+        for _ in range(k):
+            if kind == "points":
+                n, raw = 1, [1.0]
+            else:
+                n, raw = operand()
+            pdfs_.append(DiscretePDF(2.0, offset, raw))
+            # Disjoint supports leave a gap after each operand.
+            offset += (
+                n + draw(st.integers(0, 6)) if kind == "disjoint"
+                else draw(st.integers(-4, 4))
+            )
+        groups.append(tuple(pdfs_))
+    if draw(st.booleans()):
+        # Equal-shape stack: translated copies of the first group.
+        shifts = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+        groups += [
+            tuple(p.shifted_bins(d) for p in groups[0]) for d in shifts
+        ]
+    return groups
+
+
+def _assert_raws_bitwise(got, groups):
+    for (lo, masses), pdfs_ in zip(got, groups):
+        ref_lo, ref = _max_masses(pdfs_)
+        assert lo == ref_lo
+        assert np.array_equal(masses, ref)
+
+
 @needs_max_sweep
 class TestCompiledMaxSweep:
-    """The grouped-MAX sweep must be bitwise the NumPy sweep."""
+    """The MAX sweep runs in C under every backend, bitwise the NumPy
+    sweep (``_max_masses``, the reference)."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(groups=max_groups())
+    def test_batch_raws_bitwise_with_max_masses(self, groups):
+        _assert_raws_bitwise(max_batch_raws(groups), groups)
+        multi = [g for g in groups if len(g) > 1]
+        if multi:
+            built = stat_max_groups(multi, trim_eps=1e-9, backend="auto")
+            for res, pdfs_ in zip(built, multi):
+                lo, masses = _max_masses(pdfs_)
+                ref = DiscretePDF(2.0, lo, masses).trimmed(1e-9)
+                assert res.offset == ref.offset
+                assert np.array_equal(res.masses, ref.masses)
+
+    def test_every_backend_runs_the_c_sweep(self, monkeypatch):
+        calls = []
+        provider = _compiled.get_provider()
+        sweep = provider.max_sweep
+
+        def counted(groups):
+            calls.append(len(groups))
+            return sweep(groups)
+
+        monkeypatch.setattr(provider, "max_sweep", counted)
+        groups = self._groups(29, n_groups=3)
+        for name in ("direct", "fft", "auto", "compiled-auto"):
+            stat_max_groups(groups, trim_eps=1e-9, backend=name)
+            stat_max_many(groups[0], trim_eps=1e-9, backend=name)
+        assert calls == [3, 1] * 4
 
     def _groups(self, seed, n_groups=7):
         rng = np.random.default_rng(seed)
@@ -273,12 +343,7 @@ class TestCompiledMaxSweep:
 
     def test_sweep_bitwise_with_numpy_sweep(self):
         groups = self._groups(31)
-        kernel = get_backend("compiled-auto")
-        swept = max_batch_raws(groups, kernel=kernel)
-        stock = max_batch_raws(groups)
-        for (lo_s, m_s), (lo_n, m_n) in zip(swept, stock):
-            assert lo_s == lo_n
-            assert np.array_equal(m_s, m_n)
+        _assert_raws_bitwise(PROVIDER.max_sweep(groups), groups)
 
     def test_stat_max_many_bitwise_across_backends(self):
         groups = self._groups(37, n_groups=3)
@@ -300,12 +365,23 @@ class TestCompiledMaxSweep:
                 assert np.array_equal(r.masses, g.masses)
 
     def test_single_group_sweep_matches_max_masses(self):
-        kernel = get_backend("compiled-auto")
         for pdfs_ in self._groups(43, n_groups=4):
-            lo_c, m_c = kernel.grouped_max_raws([pdfs_])[0]
-            lo_n, m_n = _max_masses(pdfs_)
-            assert lo_c == lo_n
-            assert np.array_equal(m_c, m_n)
+            _assert_raws_bitwise(PROVIDER.max_sweep([pdfs_]), [pdfs_])
+
+
+def _spy_numpy_max(monkeypatch) -> list:
+    """Record every group the NumPy reference ``_max_masses`` computes
+    (a single-group batch always reaches it on the NumPy path)."""
+    from repro.dist import ops
+
+    calls = []
+
+    def counted(pdfs_):
+        calls.append(tuple(pdfs_))
+        return _max_masses(pdfs_)
+
+    monkeypatch.setattr(ops, "_max_masses", counted)
+    return calls
 
 
 class TestFallbackMatrix:
@@ -321,7 +397,6 @@ class TestFallbackMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert not CA.fused_trim_active
-            assert not CA.max_sweep_active
             c = convolve(a, b, trim_eps=1e-9, backend="compiled-auto")
         d = convolve(a, b, trim_eps=1e-9, backend="direct")
         assert c.offset == d.offset
@@ -341,6 +416,46 @@ class TestFallbackMatrix:
         assert _compiled.get_provider() is None
         assert _compiled.DISABLE_ENV in _compiled.fail_reason()
         self._assert_degraded_is_direct()
+
+    def test_kill_switch_max_runs_numpy_sweep(
+        self, monkeypatch, fresh_provider_state
+    ):
+        monkeypatch.setenv(_compiled.DISABLE_ENV, "1")
+        _compiled.reset_provider_cache()
+        calls = _spy_numpy_max(monkeypatch)
+        rng = np.random.default_rng(57)
+        group = (_rand_pdf(rng, 9), _rand_pdf(rng, 11, offset=1))
+        _assert_raws_bitwise(max_batch_raws([group]), [group])
+        assert calls == [group]
+
+    def test_kill_switch_prices_pairs_like_auto(
+        self, monkeypatch, fresh_provider_state
+    ):
+        """Degraded, the compiled side is np.convolve, so compiled-auto
+        prices pairs with auto's ratio: a 700x700 pair goes to FFT, bit
+        for bit what auto computes."""
+        monkeypatch.setenv(_compiled.DISABLE_ENV, "1")
+        _compiled.reset_provider_cache()
+        rng = np.random.default_rng(61)
+        a = _rand_pdf(rng, 700)
+        b = _rand_pdf(rng, 700, offset=3)
+        auto = get_backend("auto")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert CA.chooses(700, 700) == "fft"
+            c = convolve(a, b, trim_eps=1e-9, backend="compiled-auto")
+            (cm,) = convolve_many(
+                [(a, b)], trim_eps=1e-9, backend="compiled-auto"
+            )
+        assert auto.chooses(700, 700) == "fft"
+        ref = convolve(a, b, trim_eps=1e-9, backend="auto")
+        for got in (c, cm):
+            assert got.offset == ref.offset
+            assert np.array_equal(got.masses, ref.masses)
+
+    @needs_provider
+    def test_provider_keeps_compiled_ratio(self):
+        assert CA.chooses(700, 700) == "compiled"
 
     def test_compiler_absent_degrades_to_direct(
         self, monkeypatch, fresh_provider_state
@@ -403,26 +518,24 @@ class TestFallbackMatrix:
         assert "self-check failed" in _compiled.fail_reason()
 
     @needs_provider
-    def test_max_sweep_mismatch_disables_only_the_sweep(self):
-        """A max_ok=False provider still serves ADD; the MAX side runs
-        the stock NumPy sweep (bitwise anyway, by the guard)."""
-        kernel = get_backend("compiled-auto")
+    def test_max_sweep_mismatch_disables_only_the_sweep(self, monkeypatch):
+        """A max_ok=False provider still serves ADD; every MAX runs
+        the NumPy sweep (bitwise anyway, by the guard)."""
         p = _compiled.get_provider()
-        original = p.max_ok
-        try:
-            p.max_ok = False
-            assert kernel.fused_trim_active
-            assert not kernel.max_sweep_active
-            rng = np.random.default_rng(59)
-            groups = [
-                (_rand_pdf(rng, 9), _rand_pdf(rng, 11, offset=1))
-            ]
-            stock = max_batch_raws(groups)
-            gated = max_batch_raws(groups, kernel=kernel)
-            assert stock[0][0] == gated[0][0]
-            assert np.array_equal(stock[0][1], gated[0][1])
-        finally:
-            p.max_ok = original
+        monkeypatch.setattr(p, "max_ok", False)
+
+        def refuse(groups):
+            raise AssertionError("sweep ran with max_ok=False")
+
+        monkeypatch.setattr(p, "max_sweep", refuse)
+        calls = _spy_numpy_max(monkeypatch)
+        assert CA.fused_trim_active
+        rng = np.random.default_rng(59)
+        group = (_rand_pdf(rng, 9), _rand_pdf(rng, 11, offset=1))
+        _assert_raws_bitwise(max_batch_raws([group]), [group])
+        assert calls == [group]
+        for name in ("auto", "compiled-auto"):
+            stat_max_many(group, trim_eps=1e-9, backend=name)
 
 
 class TestRegistryCompat:
@@ -666,7 +779,7 @@ class TestCompiledGap:
         assert _compiled.get_provider() is broken
         assert broken.max_ok and not broken.gap_ok
         kernel = get_backend("compiled-auto")
-        assert kernel.fused_trim_active and kernel.max_sweep_active
+        assert kernel.fused_trim_active
         rng = np.random.default_rng(103)
         a, b = _rand_pdf(rng, 19), _rand_pdf(rng, 27, offset=2)
         assert _same_gap(max_percentile_gap(a, b), _numpy_gap(a, b))
